@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/running_profile.hpp"
-
 namespace bfsim::core {
 
 PlanScheduler::PlanScheduler(SchedulerConfig config)

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/backfill_scheduler.hpp"
 #include "core/conservative_scheduler.hpp"
-#include "core/easy_scheduler.hpp"
 #include "core/fcfs_scheduler.hpp"
-#include "core/kres_scheduler.hpp"
+#include "core/multi_profile.hpp"
 #include "core/plan_scheduler.hpp"
-#include "core/running_profile.hpp"
-#include "core/selective_scheduler.hpp"
 #include "core/slack_scheduler.hpp"
 
 namespace bfsim::core {
@@ -72,19 +70,15 @@ bool SchedulerBase::node_up(const sim::Outage& outage, Time now) {
 }
 
 MultiProfile SchedulerBase::profile_from_running_and_outages(Time now) const {
-  MultiProfile profile = profile_from_running(
-      config_.procs, config_.burst_buffer, now, running_);
+  // A sum of rectangles, so the table's unspecified order is harmless.
+  MultiProfile profile{config_.procs, config_.burst_buffer};
+  for (const RunningJob& rj : running_.jobs())
+    if (rj.est_end > now)
+      profile.reserve(now, rj.est_end, rj.job.procs, rj.job.bb);
   for (const sim::Outage& outage : outages_)
     if (outage.repair_at > now)
       profile.reserve(now, outage.repair_at, outage.procs, outage.bb);
   return profile;
-}
-
-bool SchedulerBase::job_cancelled(JobId id, Time) {
-  (void)take_queued(id);
-  // Freed nothing *now*, but rebuild-style subclasses recompute their
-  // guarantee set per pass, so a removal can unblock a backfill.
-  return !queue_.empty();
 }
 
 Job SchedulerBase::commit_start(JobId id, Time now) {
@@ -125,11 +119,11 @@ Job SchedulerBase::take_queued(JobId id) {
   return job;
 }
 
-void SchedulerBase::insert_queued(const Job& job, Time now) {
+std::size_t SchedulerBase::insert_queued(const Job& job, Time now) {
   if (time_varying_priority()) {
     queue_.push_back(job);
     id_sorted_ = false;  // re-sorted per pass; position tells us nothing
-    return;
+    return queue_.size() - 1;
   }
   // The priority order is total (ties broken by submit, id), so the
   // in-place position reproduces exactly what a stable sort would give.
@@ -155,6 +149,7 @@ void SchedulerBase::insert_queued(const Job& job, Time now) {
       ((idx > 0 && queue_[idx - 1].id > job.id) ||
        (idx + 1 < queue_.size() && queue_[idx + 1].id < job.id)))
     id_sorted_ = false;
+  return idx;
 }
 
 void SchedulerBase::ensure_sorted(Time now) {
@@ -212,18 +207,11 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
     case SchedulerKind::Fcfs:
       return std::make_unique<FcfsScheduler>(config);
     case SchedulerKind::Easy:
-      return std::make_unique<EasyScheduler>(config);
+    case SchedulerKind::KReservation:
+    case SchedulerKind::Selective:
+      return std::make_unique<BackfillScheduler>(config, kind, extras);
     case SchedulerKind::Conservative:
       return std::make_unique<ConservativeScheduler>(config);
-    case SchedulerKind::KReservation:
-      return std::make_unique<KReservationScheduler>(config,
-                                                     extras.reservation_depth);
-    case SchedulerKind::Selective:
-      return std::make_unique<SelectiveScheduler>(
-          config, extras.xfactor_threshold,
-          extras.selective_adaptive
-              ? SelectiveScheduler::Mode::AdaptiveMeanSlowdown
-              : SelectiveScheduler::Mode::FixedThreshold);
     case SchedulerKind::Slack:
       return std::make_unique<SlackScheduler>(config, extras.slack_factor);
     case SchedulerKind::Plan:

@@ -31,22 +31,23 @@ struct SchedulerConfig {
 };
 
 /// What a scheduler exposes to the ScheduleAuditor (core/audit.hpp).
-/// Defaults to "nothing": policy-free schedulers (FCFS) and the
-/// rebuild-per-cycle ones (kres, selective) still get the universal
-/// checks (capacity, start-after-submit, ...) from the driver events.
+/// Defaults to "nothing": policy-free schedulers (FCFS) still get the
+/// universal checks (capacity, start-after-submit, ...) from the driver
+/// events.
 struct AuditHooks {
   /// audit_profile() returns the live availability profile; the auditor
   /// cross-checks it against occupancy implied by running + reserved
   /// jobs after every event batch.
   bool profile = false;
   /// audit_reservations() reports the guaranteed start of every queued
-  /// job that holds one.
+  /// job that holds one (for the reservation-depth kernel: the holders
+  /// placed by the last pass).
   bool reservations = false;
   /// Reservations only ever move earlier, and a job never starts later
   /// than its first-assigned reservation (the conservative guarantee).
   bool monotone_reservations = false;
-  /// At most one pinned reservation -- the queue head's -- which must
-  /// never be delayed while that job stays at the head (EASY).
+  /// The first reported reservation is the queue head's pin, which
+  /// must never be delayed while that job stays at the head (EASY).
   bool head_guarantee = false;
 };
 
@@ -167,10 +168,6 @@ class SchedulerBase : public Scheduler {
  public:
   explicit SchedulerBase(SchedulerConfig config);
 
-  /// Removes the job from the wait queue. Returns true whenever jobs
-  /// remain queued -- subclasses override with sharper skip rules.
-  bool job_cancelled(JobId id, Time now) override;
-
   /// Generic availability bookkeeping: free capacity shrinks / grows by
   /// the outage's losses and the active-outage list (kept sorted by
   /// (repair_at, id) for the profile rebuilds) is maintained.
@@ -216,8 +213,8 @@ class SchedulerBase : public Scheduler {
 
   /// Add an arrival to queue_: in priority position under static
   /// policies (the order is total, so the position is unique), appended
-  /// under XFactor.
-  void insert_queued(const Job& job, Time now);
+  /// under XFactor. Returns the job's index in queue_.
+  std::size_t insert_queued(const Job& job, Time now);
 
   /// Establish priority order at time `now`: a no-op for static
   /// policies (insert_queued maintains it), a stable re-sort for
@@ -247,11 +244,9 @@ class SchedulerBase : public Scheduler {
   /// Index of `id` within queue_, or queue_.size() if absent.
   [[nodiscard]] std::size_t queue_index(JobId id) const;
 
-  /// profile_from_running plus one reserved rectangle
-  /// [now, repair_at) x (procs, bb) per active outage: the availability
-  /// timeline of the *healthy* part of the machine. Rebuild-per-pass
-  /// schedulers (kres, selective, plan) call this instead of
-  /// profile_from_running so their guarantees respect downtime.
+  /// The availability timeline at `now` of the *healthy* machine: each
+  /// running job occupies [now, est_end) and each active outage
+  /// [now, repair_at), on both axes.
   [[nodiscard]] MultiProfile profile_from_running_and_outages(Time now) const;
 };
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/running_profile.hpp"
 #include "util/format.hpp"
 
 namespace bfsim::core {

@@ -1,6 +1,7 @@
 #include "svc/session.hpp"
 
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "core/scheduler.hpp"
@@ -93,8 +94,15 @@ std::string Session::open_session(const HelloRequest& hello,
                           "the state file belongs to a session with a "
                           "different scheduler configuration");
   }
+  // The wire checks a policy knob only for sign; the scheduler itself
+  // knows its domain (a selective bar below 1.0, say) and refuses it.
+  // Nothing is kept until it has accepted the configuration.
+  try {
+    scheduler_ = core::make_scheduler(hello.kind, hello.config, hello.extras);
+  } catch (const std::invalid_argument& error) {
+    throw ProtocolError("bad-value", error.what());
+  }
   hello_ = hello;
-  scheduler_ = core::make_scheduler(hello.kind, hello.config, hello.extras);
   if (hello.audit) auditor_.emplace(*scheduler_);
   core_.emplace(*scheduler_, hello.audit ? &*auditor_ : nullptr,
                 hello.requeue);

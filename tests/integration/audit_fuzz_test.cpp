@@ -19,6 +19,7 @@
 #include "util/log.hpp"
 #include "metrics/aggregate.hpp"
 #include "metrics/report.hpp"
+#include "sim/failure.hpp"
 #include "sim/rng.hpp"
 #include "test_support.hpp"
 #include "workload/transforms.hpp"
@@ -162,6 +163,64 @@ TEST(AuditFuzz, MultiResourceGridSurvivesThePerAxisAuditor) {
         EXPECT_TRUE(outcome.start != sim::kNoTime || outcome.cancelled);
     }
   }
+}
+
+TEST(AuditFuzz, ReservationDepthHoldersSurviveContendedBufferAndOutages) {
+  // kres and selective report the holders of their last pass, so the
+  // auditor's reservation checks (unknown job, guaranteed start in the
+  // past) now bind them too -- here on a contended buffer, with outages
+  // that take processors and buffer alike and kill and requeue running
+  // jobs under both requeue policies.
+  constexpr int kBufferGb = 256;
+  const int procs = exp::machine_procs(exp::TraceKind::Sdsc);
+  sim::FailureModel model;
+  model.mean_uptime = 6.0 * static_cast<double>(sim::kHour);
+  model.mean_repair = 1.0 * static_cast<double>(sim::kHour);
+  model.max_procs_lost = procs / 4;
+  model.max_bb_lost = kBufferGb / 4;
+  const struct {
+    SchedulerKind kind;
+    SchedulerExtras extras;
+  } policies[] = {
+      {SchedulerKind::KReservation, {.reservation_depth = 2}},
+      {SchedulerKind::KReservation, {.reservation_depth = 8}},
+      {SchedulerKind::Selective, {.xfactor_threshold = 1.5}},
+      {SchedulerKind::Selective,
+       {.xfactor_threshold = 1.0, .selective_adaptive = true}},
+  };
+  std::uint64_t kills = 0;
+  for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    const FuzzCell cell{.trace = exp::TraceKind::Sdsc,
+                        .load = exp::kHighLoad,
+                        .factor = 2.0,
+                        .cancel_fraction = seed == 2 ? 0.1 : 0.0,
+                        .seed = seed};
+    workload::Trace trace = build_fuzz_trace(cell);
+    test::assign_random_bb(trace, kBufferGb, seed * 131 + 7);
+    const sim::FailureTrace failures =
+        generate_failures(model, procs, kBufferGb, seed * 31 + 7);
+    for (const auto& policy : policies)
+      for (const PriorityPolicy priority : kPaperPolicies)
+        for (const sim::RequeuePolicy requeue :
+             {sim::RequeuePolicy::kResubmitFull,
+              sim::RequeuePolicy::kResubmitRemaining}) {
+          const SchedulerConfig config{procs, priority, kBufferGb};
+          const auto scheduler =
+              make_scheduler(policy.kind, config, policy.extras);
+          SCOPED_TRACE(cell.label() + " " + scheduler->name() +
+                       " requeue=" + sim::to_string(requeue));
+          ASSERT_TRUE(scheduler->audit_hooks().reservations);
+          SimulationOptions options;
+          options.validate = true;
+          options.audit = true;
+          options.failures = &failures;
+          options.requeue = requeue;
+          SimulationResult result;
+          ASSERT_NO_THROW(result = run_simulation(trace, *scheduler, options));
+          kills += result.kills;
+        }
+  }
+  EXPECT_GT(kills, 0u);
 }
 
 TEST(AuditFuzz, SeededBufferOversubscriptionIsCaughtOnTheSecondAxis) {

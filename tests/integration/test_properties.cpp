@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "core/reference_reservation_depth.hpp"
 #include "core/simulation.hpp"
 #include "core/validator.hpp"
 #include "test_support.hpp"
@@ -83,21 +84,26 @@ INSTANTIATE_TEST_SUITE_P(
 class CrossSchedulerTest : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrossSchedulerTest, EasyEqualsReservationDepthOne) {
-  // The shadow/extra formulation of EASY and the profile-based
-  // K-reservation scheduler with depth 1 are two independent
-  // implementations of the same policy: schedules must coincide exactly.
+  // EASY and depth-1 K-reservation are the same configuration of the
+  // reservation-depth kernel; both must reproduce the rebuild-per-pass
+  // oracle at depth 1 exactly (the rest of the family is covered by
+  // integration/test_backfill_oracle_differential.cpp).
   for (const bool overestimate : {false, true}) {
     const Trace trace = test::random_trace(500, 12, GetParam(), overestimate);
     for (const auto priority :
          {PriorityPolicy::Fcfs, PriorityPolicy::Sjf,
           PriorityPolicy::XFactor}) {
       const SchedulerConfig config{12, priority};
+      test::ReferenceReservationDepth oracle{config, SchedulerKind::Easy};
+      const auto expected = test::start_times(run_simulation(trace, oracle));
       const auto easy = run_simulation(trace, SchedulerKind::Easy, config);
       SchedulerExtras extras;
       extras.reservation_depth = 1;
       const auto kres =
           run_simulation(trace, SchedulerKind::KReservation, config, extras);
-      EXPECT_EQ(test::start_times(easy), test::start_times(kres))
+      EXPECT_EQ(test::start_times(easy), expected)
+          << to_string(priority) << (overestimate ? " over" : " exact");
+      EXPECT_EQ(test::start_times(kres), expected)
           << to_string(priority) << (overestimate ? " over" : " exact");
     }
   }

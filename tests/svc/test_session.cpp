@@ -125,6 +125,28 @@ TEST(Session, AnyBufferDemandIsBadOnABufferlessMachine) {
             "bad-event");
 }
 
+TEST(Session, HelloTheSchedulerRejectsIsABadValue) {
+  // The frame parses -- thresholds only need to be non-negative on the
+  // wire -- but selective backfilling needs a bar of at least 1.0. The
+  // scheduler's refusal comes back as a quarantined bad-value, and the
+  // session stays open for a valid hello.
+  Session session;
+  EXPECT_EQ(error_reason(session.handle_line(
+                R"({"type":"hello","v":3,"scheduler":"selective",)"
+                R"("procs":16,"xfactor_threshold":0.5})")),
+            "bad-value");
+  EXPECT_EQ(session.decision_core(), nullptr);
+  EXPECT_EQ(session.report().reasons.at("bad-value"), 1u);
+  const std::string welcome = session.handle_line(
+      R"({"type":"hello","v":3,"scheduler":"selective","procs":16,)"
+      R"("xfactor_threshold":2.0})");
+  ASSERT_EQ(reply_type(welcome), "welcome");
+  EXPECT_EQ(parse_json(welcome).find("scheduler")->as_string(),
+            "selective2.0-fcfs");
+  EXPECT_EQ(reply_type(session.handle_line(submit_batch(1, 0, 0, 100, 4))),
+            "decisions");
+}
+
 TEST(Session, SequenceNumbersMustBeContiguous) {
   Session session;
   (void)session.handle_line(kHello);
