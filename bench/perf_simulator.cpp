@@ -608,12 +608,13 @@ Report build_report(std::size_t jobs) {
   const auto trace = bench_trace(exp::TraceKind::Ctc, jobs);
   Report report;
   report.jobs = jobs;
-  // All six schedulers under FCFS priority; conservative/easy/nobackfill
+  // All seven schedulers under FCFS priority; conservative/easy/nobackfill
   // stay first so older baseline readers keep working.
   for (const core::SchedulerKind kind :
        {core::SchedulerKind::Conservative, core::SchedulerKind::Easy,
         core::SchedulerKind::Fcfs, core::SchedulerKind::KReservation,
-        core::SchedulerKind::Selective, core::SchedulerKind::Slack})
+        core::SchedulerKind::Selective, core::SchedulerKind::Slack,
+        core::SchedulerKind::Plan})
     report.sims.push_back(
         measure_sim(trace, kind, core::PriorityPolicy::Fcfs, procs));
   // EASY holds at most one reservation, so its throughput is almost

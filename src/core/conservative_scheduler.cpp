@@ -1,6 +1,5 @@
 #include "core/conservative_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -51,7 +50,7 @@ bool ConservativeScheduler::job_finished(JobId id, Time now) {
   // anchored exactly at this job's est_end can still be due now.
   if (now < rj.est_end) {
     profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
-    compress(now, now);
+    compress(now, now, rj.est_end);
   }
   return due_.earliest(reservations_) == now;
 }
@@ -59,13 +58,13 @@ bool ConservativeScheduler::job_finished(JobId id, Time now) {
 bool ConservativeScheduler::job_cancelled(JobId id, Time now) {
   const Job job = take_queued(id);
   const Time start = reservations_.at(id);
-  profile_.release(start, sim::saturating_add(start, job.estimate), job.procs,
-                   job.bb);
+  const Time end = sim::saturating_add(start, job.estimate);
+  profile_.release(start, end, job.procs, job.bb);
   reservations_.erase(id);
   // The vacated rectangle is a fresh hole: compress around it. Capacity
   // only appeared from `start` onwards, so reservations before it are
   // immovable.
-  compress(now, start);
+  compress(now, start, end);
   return due_.earliest(reservations_) == now;
 }
 
@@ -123,54 +122,10 @@ Time ConservativeScheduler::next_wakeup() {
   return due_.earliest(reservations_);
 }
 
-void ConservativeScheduler::compress(Time now, Time hole_begin) {
-  if (queue_.empty()) return;
+void ConservativeScheduler::compress(Time now, Time begin, Time end) {
   ensure_sorted(now);
-  // Iterate to a fixpoint. A single priority-order pass is not one: a
-  // late-priority job that re-anchors earlier vacates its old slot,
-  // which can unblock an earlier-priority job that was already visited.
-  // The historic single-pass version left such jobs stale and silently
-  // relied on the compression run at the *next* completion -- even an
-  // on-time one -- to repair them; a stale reservation whose time
-  // arrives before any other event is a missed start. (Today the driver
-  // would still catch such a start via next_wakeup(); the fixpoint keeps
-  // every guarantee honest the moment the hole opens.)
-  //
-  // Each pass only revisits jobs that could have been unblocked: all
-  // capacity freed since a job was last anchored lies at-or-after
-  // `hole_begin` (the triggering release, then the slots vacated by
-  // jobs moved in earlier passes), and a reservation at start s can
-  // only move earlier if some time strictly before s gains capacity --
-  // any candidate window blocked at a time >= s would overlap the
-  // job's own feasible window, a contradiction. So jobs with
-  // reservation <= hole_begin are skipped, and a pass that moves
-  // nobody certifies the fixpoint.
-  for (;;) {
-    Time next_hole = sim::kNoTime;
-    for (const Job& job : queue_) {
-      const Time old_start = reservations_.at(job.id);
-      if (old_start <= hole_begin) continue;  // cannot move earlier
-      profile_.release(old_start, sim::saturating_add(old_start, job.estimate),
-                       job.procs, job.bb);
-      const Time anchor =
-          profile_.find_and_reserve(job.procs, job.bb, job.estimate, now);
-      if (anchor > old_start)
-        throw std::logic_error(
-            "ConservativeScheduler: compression delayed a guarantee (job " +
-            std::to_string(job.id) + ")");
-      if (anchor < old_start) {
-        reservations_.set(job.id, anchor);
-        due_.push(anchor, job.id);
-        // The vacated slot adds capacity at-or-after old_start: only
-        // jobs reserved beyond it can cascade in the next pass.
-        next_hole = next_hole == sim::kNoTime
-                        ? old_start
-                        : std::min(next_hole, old_start);
-      }
-    }
-    if (next_hole == sim::kNoTime) return;  // nobody moved: fixpoint
-    hole_begin = next_hole;
-  }
+  compress_queue(queue_, profile_, reservations_, due_, now, begin, end,
+                 compression_);
 }
 
 void ConservativeScheduler::select_starts(Time now, std::vector<Job>& out) {
@@ -182,17 +137,7 @@ void ConservativeScheduler::select_starts(Time now, std::vector<Job>& out) {
   if (earliest != now) return;
   due_scratch_.clear();
   due_.take_due(now, reservations_, due_scratch_);
-  if (due_scratch_.size() > 1) {
-    // Simultaneous starts commit in priority order: their relative
-    // order fixes the order of the finish events they generate.
-    ensure_sorted(now);
-    order_scratch_.clear();
-    for (const Job& job : queue_)
-      if (std::find(due_scratch_.begin(), due_scratch_.end(), job.id) !=
-          due_scratch_.end())
-        order_scratch_.push_back(job.id);
-    due_scratch_.swap(order_scratch_);
-  }
+  order_by_priority(now, due_scratch_);
   for (JobId id : due_scratch_) {
     reservations_.erase(id);
     // The job's rectangle stays reserved in the profile; it is now backed

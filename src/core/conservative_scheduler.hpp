@@ -7,14 +7,16 @@
 //
 // When a job finishes earlier than its estimate, the freed rectangle is
 // returned to the profile and the queue is *compressed*: each queued job,
-// visited in priority order, is unreserved and re-anchored -- its start
-// can only move earlier, so guarantees are never violated. The visit
+// visited in priority order, is re-anchored if it can move -- its start
+// can only move earlier, so guarantees are never violated (see
+// core/compression.hpp for the read-only move test). The visit
 // order is the only place the priority policy enters, which is exactly
 // why all priority policies produce the identical schedule when user
 // estimates are exact (paper Section 4.1): without early completions no
 // new holes ever appear and compression is a no-op.
 #pragma once
 
+#include "core/compression.hpp"
 #include "core/job_table.hpp"
 #include "core/multi_profile.hpp"
 #include "core/reservation_heap.hpp"
@@ -46,6 +48,11 @@ class ConservativeScheduler final : public SchedulerBase {
   /// The availability profile (running jobs + all reservations).
   [[nodiscard]] const MultiProfile& profile() const { return profile_; }
 
+  /// Work counters of every compression so far.
+  [[nodiscard]] const CompressionStats& compression() const {
+    return compression_;
+  }
+
   // Auditor introspection: conservative holds a guarantee for every
   // queued job, never delays one, and keeps a persistent profile.
   [[nodiscard]] AuditHooks audit_hooks() const override {
@@ -62,24 +69,20 @@ class ConservativeScheduler final : public SchedulerBase {
  private:
   MultiProfile profile_;
   TimeByJob reservations_;  ///< queued job -> guaranteed start
-  /// Pass-time working buffers, reused so select_starts never allocates
+  /// Pass-time working buffer, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;
-  std::vector<JobId> order_scratch_;
   /// Earliest guaranteed start, maintained alongside reservations_ so
   /// neither the due check nor next_wakeup() scans the queue.
   ReservationHeap due_;
+  CompressionStats compression_;
 
   /// Re-anchor queued jobs in priority order after capacity was freed
-  /// at `hole_begin` (>= now), iterating until no reservation moves.
-  /// Each candidate's reservation is released and re-placed at its
-  /// earliest anchor; the new start is provably <= the old one. Jobs
-  /// whose reservation already starts at-or-before the earliest
-  /// still-unconsidered hole are skipped -- they provably cannot move
-  /// (see the implementation comment). On return every reservation is
-  /// at its true earliest anchor, which is what makes skipping the
-  /// whole pass on on-time completions sound.
-  void compress(Time now, Time hole_begin);
+  /// over [begin, end) (begin >= now), iterating until no reservation
+  /// moves (core/compression.hpp). On return every reservation is at
+  /// its true earliest anchor, which is what makes skipping the whole
+  /// pass on on-time completions sound.
+  void compress(Time now, Time begin, Time end);
 };
 
 }  // namespace bfsim::core

@@ -103,17 +103,20 @@ void MultiProfile::clamp_hints(sim::Time b) {
 }
 
 std::pair<sim::Time, std::size_t> MultiProfile::anchor_from(
-    int procs, int bb, sim::Time duration, sim::Time not_before) const {
+    int procs, int bb, sim::Time duration, sim::Time not_before,
+    sim::Time limit) const {
   // Resume from the certified prefix, then advance to the first instant
   // with capacity on both axes. The skipped prefix extends this width's
   // certificate only for bb == 0 searches: with a buffer demand the
   // advance loop also skips segments blocked purely on the buffer axis,
-  // which says nothing about their processors.
+  // which says nothing about their processors. The fully-free tail ends
+  // every advance; a candidate past `limit` ends the search.
   const bool record = bb == 0;
   const sim::Time start = hinted_start(procs, not_before);
   std::size_t i = segment_index(start);
   while (points_[i].procs < procs || points_[i].bb < bb) ++i;
   sim::Time candidate = std::max(start, points_[i].begin);
+  if (candidate > limit) return {sim::kNoTime, i};
   if (record) record_hint(procs, not_before, candidate);
   for (;;) {
     // points_[i] is the segment containing `candidate`. Scan forward
@@ -142,8 +145,36 @@ std::pair<sim::Time, std::size_t> MultiProfile::anchor_from(
       ++scan;
     } while (points_[scan].procs < procs || points_[scan].bb < bb);
     candidate = points_[scan].begin;
+    if (candidate > limit) return {sim::kNoTime, scan};
     i = scan;
   }
+}
+
+bool MultiProfile::anchors_earlier(int procs, int bb, sim::Time duration,
+                                   sim::Time start, sim::Time not_before,
+                                   sim::Time fresh_begin,
+                                   sim::Time fresh_end) const {
+  if (procs < 1 || procs > total_procs_ || bb < 0 || bb > total_bb_ ||
+      duration < 1)
+    throw std::invalid_argument("MultiProfile::anchors_earlier: bad demand");
+  if (not_before < 0) not_before = 0;
+  if (start <= not_before) return false;
+  // (a) A window [t, t + duration) with t < start < t + duration: its
+  // part from `start` on lies inside the held rectangle, where releasing
+  // frees at least the demand, so only [t, start) must fit -- and
+  // t = start - 1 is the easiest such window.
+  const Segment& last = points_[segment_index(sim::saturating_sub(start, 1))];
+  if (last.procs >= procs && last.bb >= bb) return true;
+  // (b) A window ending at-or-before `start`: the held rectangle is not
+  // in it, so the profile as it stands decides. Only window starts whose
+  // window overlaps [fresh_begin, fresh_end) are candidates.
+  const sim::Time lo = std::max(
+      not_before,
+      sim::saturating_add(sim::saturating_sub(fresh_begin, duration), 1));
+  const sim::Time hi = std::min(sim::saturating_sub(start, duration),
+                                sim::saturating_sub(fresh_end, 1));
+  return lo <= hi &&
+         anchor_from(procs, bb, duration, lo, hi).first != sim::kNoTime;
 }
 
 sim::Time MultiProfile::earliest_anchor(int procs, int bb, sim::Time duration,

@@ -82,6 +82,25 @@ class MultiProfile {
   sim::Time find_and_reserve(int procs, int bb, sim::Time duration,
                              sim::Time not_before);
 
+  /// Read-only move test for a rectangle this profile already holds:
+  /// (procs, bb) over [start, start + duration). True exactly when
+  /// releasing it would leave an anchor at-or-after `not_before` that is
+  /// strictly earlier than `start` -- the answer of release +
+  /// earliest_anchor < start + reserve back, with nothing mutated.
+  ///
+  /// A window that reaches `start` lies past it only inside the held
+  /// rectangle, so it fits iff the capacity at start - 1 admits the
+  /// demand: one lookup. Windows lying wholly before `start` are searched
+  /// only among those overlapping [fresh_begin, fresh_end). The defaults
+  /// search them all; a caller that knows the rectangle sat at its
+  /// earliest anchor before some releases passes their hull, because
+  /// only released capacity can open such a window. Same argument
+  /// requirements as earliest_anchor.
+  [[nodiscard]] bool anchors_earlier(int procs, int bb, sim::Time duration,
+                                     sim::Time start, sim::Time not_before,
+                                     sim::Time fresh_begin = 0,
+                                     sim::Time fresh_end = sim::kTimeMax) const;
+
   /// True when `procs` processors and `bb` buffer units are free
   /// throughout [begin, end). Requires begin >= 0 for non-empty windows.
   [[nodiscard]] bool fits(int procs, int bb, sim::Time begin,
@@ -142,9 +161,11 @@ class MultiProfile {
   /// Index of the segment containing t (t >= 0).
   [[nodiscard]] std::size_t segment_index(sim::Time t) const;
   /// Anchor search core: returns the anchor and the index of the segment
-  /// containing it. Arguments already validated.
+  /// containing it, or sim::kNoTime when no anchor lies at-or-before
+  /// `limit` (the search stops there). Arguments already validated.
   [[nodiscard]] std::pair<sim::Time, std::size_t> anchor_from(
-      int procs, int bb, sim::Time duration, sim::Time not_before) const;
+      int procs, int bb, sim::Time duration, sim::Time not_before,
+      sim::Time limit = sim::kTimeMax) const;
   /// Add (dprocs, dbb) over [begin, end) given the index of the segment
   /// containing `begin`; splits boundary segments and re-coalesces.
   /// Capacity must have been validated by the caller.

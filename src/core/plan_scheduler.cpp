@@ -1,6 +1,5 @@
 #include "core/plan_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -11,8 +10,8 @@ PlanScheduler::PlanScheduler(SchedulerConfig config)
 
 // Plan starts jobs only when a planned start comes due, so "does a pass
 // matter at `now`" is exactly "is the earliest planned start == now" --
-// every hook re-plans (or patches the plan incrementally on the
-// queue-empty fast paths) and answers from the due-heap.
+// every hook re-plans (in full, or from the changed queue position on)
+// and answers from the due-heap.
 
 void PlanScheduler::replan(Time now) {
   profile_ = profile_from_running_and_outages(now);
@@ -26,12 +25,38 @@ void PlanScheduler::replan(Time now) {
         job.id, profile_.find_and_reserve(job.procs, job.bb, job.estimate,
                                           now));
   due_.rebuild(reservations_);
-  ++replans_;
+  ++full_replans_;
+}
+
+void PlanScheduler::replace_suffix(std::size_t first, Time now) {
+  // Why the prefix needs no work: the last full replan placed every job
+  // at its earliest anchor given the running set and the jobs ahead of
+  // it. Since then only starts (which keep their planned rectangle),
+  // repairs (whose outage rectangle ends at `now`) and earlier suffix
+  // re-placements happened -- every other hook replans in full. A job's
+  // plan therefore still fits, and nothing ahead of it gained capacity,
+  // so a full replan at `now` would anchor it where it already sits.
+  profile_.discard_before(now);
+  for (std::size_t i = first; i < queue_.size(); ++i) {
+    const Job& job = queue_[i];
+    const Time start = reservations_.get(job.id);
+    if (start != sim::kNoTime)
+      profile_.release(start, sim::saturating_add(start, job.estimate),
+                       job.procs, job.bb);
+  }
+  for (std::size_t i = first; i < queue_.size(); ++i) {
+    const Job& job = queue_[i];
+    const Time anchor =
+        profile_.find_and_reserve(job.procs, job.bb, job.estimate, now);
+    reservations_.set(job.id, anchor);
+    due_.push(anchor, job.id);
+  }
+  ++suffix_replans_;
 }
 
 bool PlanScheduler::job_submitted(const Job& job, Time now) {
   const bool was_idle_fit = queue_.empty() && fits_now(job);
-  insert_queued(job, now);
+  const std::size_t position = insert_queued(job, now);
   if (was_idle_fit) {
     // O(1) fast path for the idle/low-load regime: with nothing queued
     // the profile holds only running-job rectangles (every one begins
@@ -44,7 +69,10 @@ bool PlanScheduler::job_submitted(const Job& job, Time now) {
                      job.bb);
     return true;
   }
-  replan(now);
+  if (time_varying_priority())
+    replan(now);
+  else
+    replace_suffix(position, now);
   return due_.earliest(reservations_) == now;
 }
 
@@ -64,16 +92,19 @@ bool PlanScheduler::job_finished(JobId id, Time now) {
 }
 
 bool PlanScheduler::job_cancelled(JobId id, Time now) {
+  const std::size_t position = queue_index(id);
   const Job job = take_queued(id);
   const Time start = reservations_.at(id);
   reservations_.erase(id);
-  if (queue_.empty()) {
-    // Last queued job withdrawn: just vacate its planned rectangle.
-    profile_.release(start, sim::saturating_add(start, job.estimate),
-                     job.procs, job.bb);
-    return false;
+  if (time_varying_priority() && !queue_.empty()) {
+    replan(now);
+    return due_.earliest(reservations_) == now;
   }
-  replan(now);
+  // Vacate the planned rectangle; the jobs behind it re-place around
+  // the hole (none when it was the last queued job).
+  profile_.release(start, sim::saturating_add(start, job.estimate), job.procs,
+                   job.bb);
+  if (position < queue_.size()) replace_suffix(position, now);
   return due_.earliest(reservations_) == now;
 }
 
@@ -112,17 +143,7 @@ void PlanScheduler::select_starts(Time now, std::vector<Job>& out) {
   if (earliest != now) return;
   due_scratch_.clear();
   due_.take_due(now, reservations_, due_scratch_);
-  if (due_scratch_.size() > 1) {
-    // Simultaneous starts commit in priority order: their relative
-    // order fixes the order of the finish events they generate.
-    ensure_sorted(now);
-    order_scratch_.clear();
-    for (const Job& job : queue_)
-      if (std::find(due_scratch_.begin(), due_scratch_.end(), job.id) !=
-          due_scratch_.end())
-        order_scratch_.push_back(job.id);
-    due_scratch_.swap(order_scratch_);
-  }
+  order_by_priority(now, due_scratch_);
   for (JobId id : due_scratch_) {
     reservations_.erase(id);
     // The job's rectangle stays reserved in the profile; it is now backed

@@ -14,6 +14,12 @@
 // and that guarantees may move *later* as well as earlier (no
 // starvation-freedom by monotonicity -- the plan itself, recomputed in
 // priority order, is what bounds waiting).
+//
+// Under a static priority order a submit or cancel changes the plan's
+// inputs only from one queue position on, so those two hooks re-place
+// just that suffix; the prefix is what a full replan would compute
+// again (see replace_suffix). Finishes, outages and the clock-driven
+// XFactor order keep the full replan.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +55,12 @@ class PlanScheduler final : public SchedulerBase {
   /// The availability profile (running jobs + the current plan).
   [[nodiscard]] const MultiProfile& profile() const { return profile_; }
 
-  /// Number of full replans executed (diagnostics / bench).
-  [[nodiscard]] std::uint64_t replans() const { return replans_; }
+  /// Full replans executed: profile rebuilt, whole queue re-placed.
+  [[nodiscard]] std::uint64_t full_replans() const { return full_replans_; }
+  /// Suffix re-placements executed by submits and cancels.
+  [[nodiscard]] std::uint64_t suffix_replans() const {
+    return suffix_replans_;
+  }
 
   // Auditor introspection: every queued job holds a planned start and
   // the profile is persistent between events, but a replan may legally
@@ -67,20 +77,27 @@ class PlanScheduler final : public SchedulerBase {
  private:
   MultiProfile profile_;
   TimeByJob reservations_;  ///< queued job -> planned start
-  /// Pass-time working buffers, reused so select_starts never allocates
+  /// Pass-time working buffer, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;
-  std::vector<JobId> order_scratch_;
   /// Earliest planned start, so the due check and next_wakeup() never
   /// scan the queue.
   ReservationHeap due_;
-  std::uint64_t replans_ = 0;
+  std::uint64_t full_replans_ = 0;
+  std::uint64_t suffix_replans_ = 0;
 
   /// Rebuild the whole plan at `now`: profile from the running set,
   /// then every queued job re-anchored in priority order. reservations_
   /// holds exactly the queued jobs, so overwriting each entry refreshes
   /// the table without a clear.
   void replan(Time now);
+
+  /// Re-place queue_[first..] at `now` under a static priority order:
+  /// release the planned rectangles of that suffix (a job without one,
+  /// the newcomer, has nothing to release), then anchor each of its jobs
+  /// again in priority order. The profile must already hold the plan a
+  /// full replan at `now` would compute for every other queued job.
+  void replace_suffix(std::size_t first, Time now);
 };
 
 }  // namespace bfsim::core

@@ -157,6 +157,20 @@ void SchedulerBase::ensure_sorted(Time now) {
     sort_by_priority(queue_.begin(), queue_.end(), config_.priority, now);
 }
 
+void SchedulerBase::order_by_priority(Time now, std::vector<JobId>& ids) {
+  if (ids.size() < 2) return;
+  ensure_sorted(now);
+  std::sort(ids.begin(), ids.end());
+  if (id_sorted_) return;  // queue order is id order
+  order_scratch_.clear();
+  for (const Job& job : queue_) {
+    if (!std::binary_search(ids.begin(), ids.end(), job.id)) continue;
+    order_scratch_.push_back(job.id);
+    if (order_scratch_.size() == ids.size()) break;
+  }
+  ids.swap(order_scratch_);
+}
+
 std::size_t SchedulerBase::queue_index(JobId id) const {
   // Starts overwhelmingly take the queue head (always, for the
   // non-backfilling policies): answer without a search.

@@ -204,6 +204,8 @@ class SchedulerBase : public Scheduler {
   /// yet), sorted by (repair_at, id). Small: bounded by the number of
   /// concurrently-down outages, not the trace length.
   std::vector<sim::Outage> outages_;
+  /// order_by_priority's working buffer, reused across passes.
+  std::vector<JobId> order_scratch_;
 
   /// True when the configured priority order can change with the clock
   /// (XFactor), so the queue cannot be kept sorted incrementally.
@@ -220,6 +222,11 @@ class SchedulerBase : public Scheduler {
   /// policies (insert_queued maintains it), a stable re-sort for
   /// XFactor. Call before walking queue_ in priority order.
   void ensure_sorted(Time now);
+
+  /// Reorder `ids` (queued jobs due to start together) into priority
+  /// order, which fixes the order of the finish events they generate.
+  /// Calls ensure_sorted(now) only when there are two or more.
+  void order_by_priority(Time now, std::vector<JobId>& ids);
 
   /// True when `job` fits into the momentarily free capacity on every
   /// axis (processors and burst buffer).

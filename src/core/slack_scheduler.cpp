@@ -52,6 +52,14 @@ bool SlackScheduler::try_displace(const Job& job, Time now) {
   // re-anchors around it in earliest-deadline-first order. EDF places
   // the tightest guarantees first, which maximizes the chance that all
   // of them survive.
+  //
+  // The trial's capacity at `now` is exactly free_/free_bb_: completions
+  // and repairs at an instant are delivered before its submits, and runs
+  // die at their estimate, so every running job has est_end > now and
+  // every active outage repair_at > now. A job that does not fit the
+  // free capacity cannot fit the trial either -- refuse it before
+  // building one.
+  if (!fits_now(job)) return false;
   MultiProfile trial = profile_from_running_and_outages(now);
   const Time newcomer_end = sim::saturating_add(now, job.estimate);
   if (!trial.fits(job.procs, job.bb, now, newcomer_end)) return false;
@@ -96,7 +104,7 @@ bool SlackScheduler::job_finished(JobId id, Time now) {
   // reservation anchored exactly at this job's est_end can still be due.
   if (now < rj.est_end) {
     profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
-    compress(now, now);
+    compress(now, now, rj.est_end);
   }
   return due_.earliest(reservations_) == now;
 }
@@ -104,11 +112,11 @@ bool SlackScheduler::job_finished(JobId id, Time now) {
 bool SlackScheduler::job_cancelled(JobId id, Time now) {
   const Job job = take_queued(id);
   const Time start = reservations_.at(id);
-  profile_.release(start, sim::saturating_add(start, job.estimate), job.procs,
-                   job.bb);
+  const Time end = sim::saturating_add(start, job.estimate);
+  profile_.release(start, end, job.procs, job.bb);
   reservations_.erase(id);
   deadlines_.erase(id);
-  compress(now, start);
+  compress(now, start, end);
   return due_.earliest(reservations_) == now;
 }
 
@@ -158,39 +166,10 @@ bool SlackScheduler::node_up(const sim::Outage& outage, Time now) {
 
 Time SlackScheduler::next_wakeup() { return due_.earliest(reservations_); }
 
-void SlackScheduler::compress(Time now, Time hole_begin) {
-  // Identical to conservative compression: each re-anchor can only move
-  // a reservation earlier, so deadlines trivially keep holding. Jobs
-  // already reserved at-or-before the earliest unconsidered hole cannot
-  // move and are skipped; passes repeat until no reservation moves so
-  // cascaded unblocking (a moved job vacating its old slot) is never
-  // left stale. See ConservativeScheduler::compress for the argument.
-  if (queue_.empty()) return;
+void SlackScheduler::compress(Time now, Time begin, Time end) {
   ensure_sorted(now);
-  for (;;) {
-    Time next_hole = sim::kNoTime;
-    for (const Job& job : queue_) {
-      const Time old_start = reservations_.at(job.id);
-      if (old_start <= hole_begin) continue;
-      profile_.release(old_start, sim::saturating_add(old_start, job.estimate),
-                       job.procs, job.bb);
-      const Time anchor =
-          profile_.find_and_reserve(job.procs, job.bb, job.estimate, now);
-      if (anchor > old_start)
-        throw std::logic_error(
-            "SlackScheduler: compression delayed a reservation (job " +
-            std::to_string(job.id) + ")");
-      if (anchor < old_start) {
-        reservations_.set(job.id, anchor);
-        due_.push(anchor, job.id);
-        next_hole = next_hole == sim::kNoTime
-                        ? old_start
-                        : std::min(next_hole, old_start);
-      }
-    }
-    if (next_hole == sim::kNoTime) return;
-    hole_begin = next_hole;
-  }
+  compress_queue(queue_, profile_, reservations_, due_, now, begin, end,
+                 compression_);
 }
 
 void SlackScheduler::select_starts(Time now, std::vector<Job>& out) {
@@ -200,16 +179,7 @@ void SlackScheduler::select_starts(Time now, std::vector<Job>& out) {
   if (earliest != now) return;
   due_scratch_.clear();
   due_.take_due(now, reservations_, due_scratch_);
-  if (due_scratch_.size() > 1) {
-    // Simultaneous starts commit in priority order (see conservative).
-    ensure_sorted(now);
-    order_scratch_.clear();
-    for (const Job& job : queue_)
-      if (std::find(due_scratch_.begin(), due_scratch_.end(), job.id) !=
-          due_scratch_.end())
-        order_scratch_.push_back(job.id);
-    due_scratch_.swap(order_scratch_);
-  }
+  order_by_priority(now, due_scratch_);
   for (JobId id : due_scratch_) {
     reservations_.erase(id);
     deadlines_.erase(id);

@@ -21,6 +21,7 @@
 //    reservations earlier. Hence no job ever starts after its deadline.
 #pragma once
 
+#include "core/compression.hpp"
 #include "core/multi_profile.hpp"
 #include "core/reservation_heap.hpp"
 #include "core/scheduler.hpp"
@@ -58,6 +59,10 @@ class SlackScheduler final : public SchedulerBase {
   [[nodiscard]] std::uint64_t displacements() const {
     return displacements_;
   }
+  /// Work counters of every compression so far.
+  [[nodiscard]] const CompressionStats& compression() const {
+    return compression_;
+  }
 
   // Auditor introspection: every queued job holds a reservation and the
   // profile is persistent, but displacement may legally move a
@@ -77,19 +82,19 @@ class SlackScheduler final : public SchedulerBase {
   MultiProfile profile_;
   TimeByJob reservations_;
   TimeByJob deadlines_;
-  /// Pass-time working buffers, reused so select_starts never allocates
+  /// Pass-time working buffer, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;
-  std::vector<JobId> order_scratch_;
   /// Earliest guaranteed start (lazy-deletion; rebuilt wholesale when a
   /// displacement reassigns every reservation).
   ReservationHeap due_;
   std::uint64_t displacements_ = 0;
+  CompressionStats compression_;
 
-  /// Conservative compression after capacity was freed at `hole_begin`
-  /// (priority order; starts only move earlier; jobs reserved at-or-
-  /// before the hole are provably immovable and skipped).
-  void compress(Time now, Time hole_begin);
+  /// Conservative compression after capacity was freed over [begin,
+  /// end): starts only move earlier, so deadlines keep holding
+  /// (core/compression.hpp).
+  void compress(Time now, Time begin, Time end);
 
   /// Try to start `job` at `now` by re-anchoring every queued job in
   /// EDF order behind it. Commits and returns true when every deadline

@@ -6,10 +6,16 @@
 // front can rely on when its event source is hostile.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "core/decision_core.hpp"
+#include "core/reference_compression.hpp"
 #include "core/scheduler.hpp"
+#include "core/simulation.hpp"
+#include "core/slack_scheduler.hpp"
+#include "sim/failure.hpp"
+#include "test_support.hpp"
 
 namespace bfsim::core {
 namespace {
@@ -177,6 +183,119 @@ TEST(DecisionCoreWakeups, ConservativeReportsItsReservation) {
   EXPECT_EQ(blocked.starts.size(), 0u);
   // Job 1's reservation sits at job 0's estimated end.
   EXPECT_EQ(blocked.next_wakeup, 100);
+}
+
+/// Forwards every hook to `inner` and counts submits that arrive while
+/// some started job has reached its estimated end -- which the event
+/// order rules out: completions and repairs at an instant come before its
+/// submits, and runs die at their estimate. Slack's displacement trial
+/// relies on it (its capacity at `now` is then exactly the free count).
+class EstimatedEndProbe final : public Scheduler {
+ public:
+  explicit EstimatedEndProbe(Scheduler& inner) : inner_(inner) {}
+
+  [[nodiscard]] int violations() const { return violations_; }
+  [[nodiscard]] int submits() const { return submits_; }
+
+  bool job_submitted(const Job& job, Time now) override {
+    ++submits_;
+    for (const auto& [id, est_end] : est_ends_)
+      if (est_end <= now) ++violations_;
+    return inner_.job_submitted(job, now);
+  }
+  bool job_finished(JobId id, Time now) override {
+    est_ends_.erase(id);
+    return inner_.job_finished(id, now);
+  }
+  bool job_cancelled(JobId id, Time now) override {
+    return inner_.job_cancelled(id, now);
+  }
+  bool job_killed(JobId id, Time now) override {
+    est_ends_.erase(id);
+    return inner_.job_killed(id, now);
+  }
+  bool node_down(const sim::Outage& outage, Time now) override {
+    return inner_.node_down(outage, now);
+  }
+  bool node_up(const sim::Outage& outage, Time now) override {
+    return inner_.node_up(outage, now);
+  }
+  [[nodiscard]] Time next_wakeup() override { return inner_.next_wakeup(); }
+  using Scheduler::select_starts;
+  void select_starts(Time now, std::vector<Job>& out) override {
+    const std::size_t first = out.size();
+    inner_.select_starts(now, out);
+    for (std::size_t i = first; i < out.size(); ++i)
+      est_ends_[out[i].id] = sim::saturating_add(now, out[i].estimate);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] const SchedulerConfig& config() const override {
+    return inner_.config();
+  }
+  [[nodiscard]] std::size_t queued_count() const override {
+    return inner_.queued_count();
+  }
+  [[nodiscard]] std::size_t running_count() const override {
+    return inner_.running_count();
+  }
+
+ private:
+  Scheduler& inner_;
+  std::map<JobId, Time> est_ends_;
+  int violations_ = 0;
+  int submits_ = 0;
+};
+
+TEST(DecisionCoreEventOrder, FinishBeforeSubmitAtOneInstantFeedsSlackTrial) {
+  // Job 0 fills the machine until t=100 and finishes on time; job 1
+  // waits for it. At t=100 job 2 arrives together with job 0's finish:
+  // its conservative anchor is t=200, behind job 1, but displacing job 1
+  // to t=150 keeps job 1 inside its slack. The trial needs job 0's
+  // processors, which the core returns before the submit.
+  const SchedulerConfig config{10, PriorityPolicy::Fcfs};
+  SlackScheduler slack{config, 10.0};
+  test::ReferenceCompression oracle{config, 10.0};
+  EstimatedEndProbe probe{slack};
+  DecisionCore core{probe};
+  DecisionCore oracle_core{oracle};
+  const auto drive = [](DecisionCore& c) {
+    c.on_submit(make_job(0, 0, 100, 10), 0);
+    EXPECT_EQ(c.end_cycle(0).starts.size(), 1u);
+    c.on_submit(make_job(1, 10, 100, 10), 10);
+    EXPECT_TRUE(c.end_cycle(10).starts.empty());
+    c.on_finish(0, 100);
+    c.on_submit(make_job(2, 100, 50, 5), 100);
+    const CycleDecision decision = c.end_cycle(100);
+    ASSERT_EQ(decision.starts.size(), 1u);
+    EXPECT_EQ(decision.starts[0], 2u);
+    EXPECT_EQ(decision.next_wakeup, 150);
+  };
+  drive(core);
+  drive(oracle_core);
+  EXPECT_EQ(probe.submits(), 3);
+  EXPECT_EQ(probe.violations(), 0);
+  EXPECT_EQ(slack.displacements(), 1u);
+  EXPECT_EQ(slack.displacements(), oracle.displacements());
+  EXPECT_EQ(slack.reservation_of(1), 150);
+}
+
+TEST(DecisionCoreEventOrder, NoSubmitSeesARunPastItsEstimate) {
+  // The same invariant over a whole replay: early finishes, on-time
+  // finishes, outage kills and requeued resubmissions.
+  workload::Trace trace = test::random_trace(300, 32, 5, true);
+  const sim::FailureTrace failures = sim::generate_failures(
+      {.mean_uptime = 4.0 * static_cast<double>(sim::kHour),
+       .mean_repair = 1.0 * static_cast<double>(sim::kHour),
+       .max_procs_lost = 8},
+      32, 0, 9);
+  ASSERT_FALSE(failures.empty());
+  SlackScheduler slack{SchedulerConfig{32, PriorityPolicy::Fcfs}, 2.0};
+  EstimatedEndProbe probe{slack};
+  const SimulationResult result =
+      run_simulation(trace, probe, {.validate = true, .failures = &failures});
+  EXPECT_GT(result.kills, 0u);
+  EXPECT_GT(probe.submits(), 300);  // requeued victims submit again
+  EXPECT_EQ(probe.violations(), 0);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 //      "procs-only schedules are byte-identical" guarantee;
 //   3. directed unit tests for the joint-axis behaviors the oracle
 //      exercises only probabilistically (buffer-only blocking, per-axis
-//      error messages, joint coalescing).
+//      error messages, joint coalescing);
+//   4. the read-only move test against release + re-anchor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/multi_profile.hpp"
@@ -383,6 +385,242 @@ TEST(MultiProfile, WindowsSaturateAtTheFarFuture) {
   EXPECT_EQ(anchor, 100);
   profile.reserve(0, 10, 4, 8);
   EXPECT_EQ(profile.earliest_anchor(1, 1, sim::kTimeMax, 0), 10);
+}
+
+// -- Tier 4: the read-only move test ----------------------------------
+//
+// anchors_earlier must answer exactly what release -> earliest_anchor <
+// start -> reserve back answers, on random two-axis profiles: with the
+// default (unrestricted) search anywhere, and with a release log
+// wherever the held rectangle sat at its earliest anchor before the
+// logged releases -- the invariant compression relies on.
+
+/// The reference answer, computed on a copy.
+bool moves_by_release(const MultiProfile& profile, int procs, int bb,
+                      sim::Time duration, sim::Time start,
+                      sim::Time not_before) {
+  MultiProfile copy = profile;
+  copy.release(start, sim::saturating_add(start, duration), procs, bb);
+  return copy.earliest_anchor(procs, bb, duration, not_before) < start;
+}
+
+/// Random background rectangles for the move-test properties.
+struct Background {
+  struct Rect {
+    sim::Time b, e;
+    int procs, bb;
+  };
+  std::vector<Rect> live;
+
+  /// Reserve a random rectangle when it fits.
+  void grow(MultiProfile& profile, sim::Rng& rng) {
+    const int procs =
+        static_cast<int>(rng.uniform_int(0, profile.total_procs() / 2));
+    const int bb = static_cast<int>(rng.uniform_int(0, profile.total_bb() / 2));
+    const sim::Time b = rng.uniform_int(0, 300);
+    const sim::Time e = b + rng.uniform_int(1, 60);
+    if (procs + bb == 0 || !profile.fits(procs, bb, b, e)) return;
+    profile.reserve(b, e, procs, bb);
+    live.push_back({b, e, procs, bb});
+  }
+
+  /// Release a random live rectangle; returns it (procs 0 when none).
+  Rect shrink(MultiProfile& profile, sim::Rng& rng) {
+    if (live.empty()) return {0, 0, 0, 0};
+    const auto idx = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+    const Rect r = live[idx];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    profile.release(r.b, r.e, r.procs, r.bb);
+    return r;
+  }
+};
+
+class MoveTestProperty
+    : public testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+
+TEST_P(MoveTestProperty, EqualsReleaseAndReanchorAnywhere) {
+  const auto [seed, total_bb] = GetParam();
+  sim::Rng rng{seed};
+  MultiProfile profile{16, total_bb};
+  Background background;
+  int checked = 0;
+  int moved = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (rng.bernoulli(0.6)) background.grow(profile, rng);
+    if (rng.bernoulli(0.2)) (void)background.shrink(profile, rng);
+    // Hold a rectangle at a random feasible start -- usually not its
+    // earliest anchor -- and ask whether it could move.
+    const int procs = static_cast<int>(rng.uniform_int(1, 16));
+    const int bb = total_bb == 0 || rng.bernoulli(0.3)
+                       ? 0
+                       : static_cast<int>(rng.uniform_int(0, total_bb));
+    const sim::Time duration = rng.uniform_int(1, 50);
+    const sim::Time start = rng.uniform_int(0, 350);
+    const sim::Time end = start + duration;
+    if (!profile.fits(procs, bb, start, end)) continue;
+    profile.reserve(start, end, procs, bb);
+    const sim::Time not_before = rng.uniform_int(0, start);
+    const bool want =
+        moves_by_release(profile, procs, bb, duration, start, not_before);
+    ASSERT_EQ(profile.anchors_earlier(procs, bb, duration, start, not_before),
+              want)
+        << "procs=" << procs << " bb=" << bb << " duration=" << duration
+        << " start=" << start << " not_before=" << not_before;
+    profile.release(start, end, procs, bb);
+    ++checked;
+    moved += want ? 1 : 0;
+  }
+  // Both answers must have been exercised.
+  EXPECT_GT(moved, 0);
+  EXPECT_LT(moved, checked);
+}
+
+TEST_P(MoveTestProperty, ReleaseLogSufficesFromAnEarliestAnchor) {
+  const auto [seed, total_bb] = GetParam();
+  sim::Rng rng{seed + 1000};
+  MultiProfile profile{16, total_bb};
+  Background background;
+  for (int i = 0; i < 40; ++i) background.grow(profile, rng);
+  int moves = 0;
+  for (int episode = 0; episode < 40; ++episode) {
+    // Anchor the held job at its earliest anchor, then let capacity come
+    // and go, logging the hull of every release.
+    const int procs = static_cast<int>(rng.uniform_int(1, 16));
+    const int bb = total_bb == 0 ? 0
+                                 : static_cast<int>(rng.uniform_int(0, total_bb));
+    const sim::Time duration = rng.uniform_int(1, 50);
+    const sim::Time not_before = rng.uniform_int(0, 100);
+    sim::Time start =
+        profile.find_and_reserve(procs, bb, duration, not_before);
+    sim::Time lo = 0;
+    sim::Time hi = 0;  // empty log
+    for (int step = 0; step < 30; ++step) {
+      if (rng.bernoulli(0.5)) background.grow(profile, rng);
+      if (rng.bernoulli(0.4)) {
+        const Background::Rect r = background.shrink(profile, rng);
+        if (r.e > r.b) {
+          lo = hi > lo ? std::min(lo, r.b) : r.b;
+          hi = std::max(hi, r.e);
+        }
+      }
+      const bool want =
+          moves_by_release(profile, procs, bb, duration, start, not_before);
+      ASSERT_EQ(profile.anchors_earlier(procs, bb, duration, start,
+                                        not_before, lo, hi),
+                want)
+          << "episode " << episode << " step " << step << " start=" << start
+          << " log=[" << lo << ", " << hi << ")";
+      if (want) {
+        // Re-anchor, as compression would: the job is at its earliest
+        // anchor again and the log starts empty.
+        profile.release(start, start + duration, procs, bb);
+        start = profile.find_and_reserve(procs, bb, duration, not_before);
+        lo = hi = 0;
+        ++moves;
+      }
+    }
+    profile.release(start, start + duration, procs, bb);
+  }
+  EXPECT_GT(moves, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomSeeds, MoveTestProperty,
+    testing::Combine(testing::Values(41, 42, 43, 44),
+                     testing::Values(0, 40)));
+
+TEST(MultiProfileMoveTest, WindowReachingTheStartNeedsOnlyTheInstantBefore) {
+  MultiProfile profile{10, 10};
+  profile.reserve(0, 40, 8, 0);
+  // Held at 50, but its earliest anchor is 40: the window [49, 149)
+  // needs only t=49 outside its own rectangle.
+  profile.reserve(50, 150, 4, 2);
+  EXPECT_TRUE(profile.anchors_earlier(4, 2, 100, 50, 0));
+  EXPECT_TRUE(moves_by_release(profile, 4, 2, 100, 50, 0));
+  // Even an empty release log cannot hide such a window.
+  EXPECT_TRUE(profile.anchors_earlier(4, 2, 100, 50, 0, 0, 0));
+  // Held at its earliest anchor: nothing before it fits.
+  profile.release(50, 150, 4, 2);
+  profile.reserve(40, 140, 4, 2);
+  EXPECT_FALSE(profile.anchors_earlier(4, 2, 100, 40, 0));
+  // A reservation at `not_before` cannot move at all.
+  EXPECT_FALSE(profile.anchors_earlier(4, 2, 100, 40, 40));
+}
+
+TEST(MultiProfileMoveTest, HoleWhollyBeforeTheStartIsFoundThroughTheLog) {
+  MultiProfile profile{10, 0};
+  profile.reserve(0, 20, 8, 0);
+  profile.reserve(30, 60, 8, 0);
+  profile.reserve(60, 70, 4, 0);  // held: 4 procs x 10 at t=60
+  // t=59 has 2 free, so no window reaches 60; the hole [20, 30) fits.
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 10, 60, 0));
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 10, 60, 0, 25, 26));
+  // A log that cannot touch any window inside the hole rules it out.
+  EXPECT_FALSE(profile.anchors_earlier(4, 0, 10, 60, 0, 0, 11));
+  EXPECT_FALSE(profile.anchors_earlier(4, 0, 10, 60, 0, 30, 60));
+  // The hole is 10 long: an 11-long job cannot use it.
+  profile.release(60, 70, 4, 0);
+  profile.reserve(60, 71, 4, 0);
+  EXPECT_FALSE(profile.anchors_earlier(4, 0, 11, 60, 0));
+  EXPECT_FALSE(moves_by_release(profile, 4, 0, 11, 60, 0));
+}
+
+TEST(MultiProfileMoveTest, ReleaseLogCoversWindowsTouchingItsEdges) {
+  // The held job (4 procs x 10 at t=100) is blocked at t=99, and the
+  // only hole before it is 9 long until a one-instant blocker goes.
+  const auto setup = [](sim::Time blocker) {
+    MultiProfile profile{10, 0};
+    profile.reserve(0, 20, 8, 0);
+    profile.reserve(30, 100, 8, 0);
+    profile.reserve(blocker, blocker + 1, 8, 0);
+    profile.reserve(100, 110, 4, 0);
+    EXPECT_FALSE(profile.anchors_earlier(4, 0, 10, 100, 0));
+    profile.release(blocker, blocker + 1, 8, 0);
+    return profile;
+  };
+  // Released [29, 30): the window [20, 30) meets it at its last instant.
+  const MultiProfile last = setup(29);
+  EXPECT_TRUE(last.anchors_earlier(4, 0, 10, 100, 0, 29, 30));
+  EXPECT_TRUE(last.anchors_earlier(4, 0, 10, 100, 20, 29, 30));
+  EXPECT_FALSE(last.anchors_earlier(4, 0, 10, 100, 21, 29, 30));
+  // Released [20, 21): the window [20, 30) starts on its last instant,
+  // and from not_before 20 it is the only candidate start.
+  const MultiProfile first = setup(20);
+  EXPECT_TRUE(first.anchors_earlier(4, 0, 10, 100, 0, 20, 21));
+  EXPECT_TRUE(first.anchors_earlier(4, 0, 10, 100, 20, 20, 21));
+  EXPECT_FALSE(first.anchors_earlier(4, 0, 10, 100, 21, 20, 21));
+}
+
+TEST(MultiProfileMoveTest, EstimatesNearTheFarFutureSaturate) {
+  for (const sim::Time duration :
+       {sim::kTimeMax, sim::kTimeMax - 1, sim::kTimeMax - 100}) {
+    MultiProfile profile{4, 8};
+    profile.reserve(0, 30, 4, 0);
+    profile.reserve(30, 50, 2, 8);
+    // Held from t=70 "forever".
+    profile.reserve(70, sim::saturating_add(70, duration), 2, 4);
+    for (const sim::Time not_before : {0, 40, 60, 69, 70}) {
+      EXPECT_EQ(profile.anchors_earlier(2, 4, duration, 70, not_before),
+                moves_by_release(profile, 2, 4, duration, 70, not_before))
+          << "duration=" << duration << " not_before=" << not_before;
+      EXPECT_EQ(profile.anchors_earlier(2, 4, duration, 70, not_before, 0,
+                                        sim::kTimeMax),
+                moves_by_release(profile, 2, 4, duration, 70, not_before));
+    }
+    EXPECT_TRUE(profile.anchors_earlier(2, 4, duration, 70, 0));
+    EXPECT_NO_THROW(profile.check_invariants());
+  }
+}
+
+TEST(MultiProfileMoveTest, RejectsMalformedDemands) {
+  MultiProfile profile{4, 4};
+  EXPECT_THROW((void)profile.anchors_earlier(0, 0, 10, 5, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)profile.anchors_earlier(1, 5, 10, 5, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)profile.anchors_earlier(1, 0, 0, 5, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -45,7 +45,8 @@ TEST(PlanScheduler, IdleMachineStartsAFittingJobImmediately) {
   const auto starts = scheduler.select_starts(0);
   ASSERT_EQ(starts.size(), 1u);
   EXPECT_EQ(starts[0].id, 0u);
-  EXPECT_EQ(scheduler.replans(), 0u);  // the O(1) fast path, no replan
+  EXPECT_EQ(scheduler.full_replans() + scheduler.suffix_replans(),
+            0u);  // the O(1) fast path, no replan
 }
 
 TEST(PlanScheduler, EveryQueuedJobHoldsAPlannedStart) {
@@ -118,6 +119,38 @@ TEST(PlanScheduler, CancellingTheLastQueuedJobVacatesItsRectangle) {
   EXPECT_EQ(scheduler.profile().procs_free_at(100), 4);  // plan gone
   EXPECT_EQ(scheduler.queued_count(), 0u);
   EXPECT_EQ(scheduler.next_wakeup(), sim::kNoTime);
+}
+
+TEST(PlanScheduler, StaticPrioritySubmitsAndCancelsReplaceOnlyASuffix) {
+  for (const PriorityPolicy priority :
+       {PriorityPolicy::Fcfs, PriorityPolicy::Sjf}) {
+    PlanScheduler scheduler{SchedulerConfig{4, priority}};
+    scheduler.job_submitted(make_job(0, 0, 100, 4), 0);
+    (void)scheduler.select_starts(0);
+    for (JobId id = 1; id <= 10; ++id)
+      scheduler.job_submitted(make_job(id, static_cast<sim::Time>(id),
+                                       static_cast<sim::Time>(60 - 5 * id), 2),
+                              static_cast<sim::Time>(id));
+    scheduler.job_cancelled(4, 20);
+    // No submit and no cancel rebuilt the plan; each re-placed a suffix.
+    EXPECT_EQ(scheduler.full_replans(), 0u) << to_string(priority);
+    EXPECT_EQ(scheduler.suffix_replans(), 11u) << to_string(priority);
+    // A finish still replans in full.
+    scheduler.job_finished(0, 50);
+    EXPECT_EQ(scheduler.full_replans(), 1u) << to_string(priority);
+    EXPECT_NO_THROW(scheduler.profile().check_invariants());
+  }
+}
+
+TEST(PlanScheduler, XFactorSubmitsReplanInFull) {
+  PlanScheduler scheduler{SchedulerConfig{4, PriorityPolicy::XFactor}};
+  scheduler.job_submitted(make_job(0, 0, 100, 4), 0);
+  (void)scheduler.select_starts(0);
+  for (JobId id = 1; id <= 5; ++id)
+    scheduler.job_submitted(make_job(id, static_cast<sim::Time>(id), 30, 2),
+                            static_cast<sim::Time>(id));
+  EXPECT_EQ(scheduler.full_replans(), 5u);
+  EXPECT_EQ(scheduler.suffix_replans(), 0u);
 }
 
 TEST(PlanScheduler, WakeupTracksTheEarliestPlannedStart) {
