@@ -31,7 +31,6 @@
 #include "core/conservative_scheduler.hpp"
 #include "core/decision_core.hpp"
 #include "core/multi_profile.hpp"
-#include "core/profile.hpp"
 #include "core/simulation.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -50,33 +49,39 @@ using namespace bfsim;
 // ---------------------------------------------------------------------------
 
 void BM_ProfileReserveRelease(benchmark::State& state) {
-  core::Profile profile{128};
+  core::MultiProfile profile{128};
   sim::Rng rng{1};
   std::int64_t t = 0;
   for (auto _ : state) {
     const sim::Time begin = t % 100000;
     const sim::Time end = sim::checked::add(begin, 1, t % 500);
-    profile.reserve(begin, end, 16);
-    profile.release(begin, end, 16);
+    profile.reserve(begin, end, 16, 0);
+    profile.release(begin, end, 16, 0);
     ++t;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProfileReserveRelease);
 
-void BM_ProfileEarliestAnchor(benchmark::State& state) {
-  // A realistically fragmented profile with ~64 live reservations.
-  core::Profile profile{128};
-  sim::Rng rng{2};
+/// A realistically fragmented procs-only profile with ~64 live
+/// reservations, drawn from `rng`.
+core::MultiProfile fragmented_profile(sim::Rng& rng) {
+  core::MultiProfile profile{128};
   for (int i = 0; i < 64; ++i) {
     const sim::Time begin = rng.uniform_int(0, 50000);
     profile.reserve(begin,
                     sim::saturating_add(begin, rng.uniform_int(100, 5000)),
-                    static_cast<int>(rng.uniform_int(1, 32)));
+                    static_cast<int>(rng.uniform_int(1, 32)), 0);
   }
+  return profile;
+}
+
+void BM_ProfileEarliestAnchor(benchmark::State& state) {
+  sim::Rng rng{2};
+  const core::MultiProfile profile = fragmented_profile(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(profile.earliest_anchor(
-        static_cast<int>(rng.uniform_int(1, 64)), rng.uniform_int(10, 2000),
+        static_cast<int>(rng.uniform_int(1, 64)), 0, rng.uniform_int(10, 2000),
         rng.uniform_int(0, 40000)));
   }
   state.SetItemsProcessed(state.iterations());
@@ -86,38 +91,8 @@ BENCHMARK(BM_ProfileEarliestAnchor);
 void BM_ProfileFindAndReserve(benchmark::State& state) {
   // The fused hot-path call the schedulers actually make: search and
   // reserve in one traversal, then undo so the profile shape is stable.
-  core::Profile profile{128};
   sim::Rng rng{2};
-  for (int i = 0; i < 64; ++i) {
-    const sim::Time begin = rng.uniform_int(0, 50000);
-    profile.reserve(begin,
-                    sim::saturating_add(begin, rng.uniform_int(100, 5000)),
-                    static_cast<int>(rng.uniform_int(1, 32)));
-  }
-  for (auto _ : state) {
-    const int procs = static_cast<int>(rng.uniform_int(1, 64));
-    const sim::Time dur = rng.uniform_int(10, 2000);
-    const sim::Time anchor =
-        profile.find_and_reserve(procs, dur, rng.uniform_int(0, 40000));
-    benchmark::DoNotOptimize(anchor);
-    profile.release(anchor, sim::saturating_add(anchor, dur), procs);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfileFindAndReserve);
-
-void BM_MultiProfileFindAndReserveAxis0(benchmark::State& state) {
-  // The generalized profile on a procs-only workload (bb = 0): must
-  // track BM_ProfileFindAndReserve -- the axis-0 no-regression claim
-  // the smoke guard checks as a ratio.
-  core::MultiProfile profile{128};
-  sim::Rng rng{2};
-  for (int i = 0; i < 64; ++i) {
-    const sim::Time begin = rng.uniform_int(0, 50000);
-    profile.reserve(begin,
-                    sim::saturating_add(begin, rng.uniform_int(100, 5000)),
-                    static_cast<int>(rng.uniform_int(1, 32)), 0);
-  }
+  core::MultiProfile profile = fragmented_profile(rng);
   for (auto _ : state) {
     const int procs = static_cast<int>(rng.uniform_int(1, 64));
     const sim::Time dur = rng.uniform_int(10, 2000);
@@ -128,7 +103,7 @@ void BM_MultiProfileFindAndReserveAxis0(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MultiProfileFindAndReserveAxis0);
+BENCHMARK(BM_ProfileFindAndReserve);
 
 void BM_MultiProfileFindAndReserveTwoAxis(benchmark::State& state) {
   // Both axes live: the second axis adds one comparison per segment.
@@ -136,10 +111,14 @@ void BM_MultiProfileFindAndReserveTwoAxis(benchmark::State& state) {
   sim::Rng rng{2};
   for (int i = 0; i < 64; ++i) {
     const sim::Time begin = rng.uniform_int(0, 50000);
-    profile.reserve(begin,
-                    sim::saturating_add(begin, rng.uniform_int(100, 5000)),
-                    static_cast<int>(rng.uniform_int(1, 32)),
-                    static_cast<int>(rng.uniform_int(0, 256)));
+    const sim::Time end =
+        sim::saturating_add(begin, rng.uniform_int(100, 5000));
+    const int procs = static_cast<int>(rng.uniform_int(1, 32));
+    const int bb = static_cast<int>(rng.uniform_int(0, 256));
+    // Random rectangles can stack past the 1024-unit buffer: skip those
+    // instead of over-reserving.
+    if (profile.fits(procs, bb, begin, end))
+      profile.reserve(begin, end, procs, bb);
   }
   for (auto _ : state) {
     const int procs = static_cast<int>(rng.uniform_int(1, 64));
@@ -263,27 +242,22 @@ struct AnchorStats {
   std::size_t breakpoints = 0;  ///< segments in the fragmented profile
   double ns_per_anchor = 0.0;
   double ns_per_find_and_reserve = 0.0;
-  /// Same queries against a MultiProfile with the buffer axis absent
-  /// (total_bb = 0, demands 0).
-  double ns_per_find_and_reserve_multi = 0.0;
-  /// multi / single-axis cost: the generalization's axis-0 overhead
-  /// (1.0 = free). The smoke guard bands this ratio.
-  double multi_axis0_ratio = 1.0;
 };
 
 /// Time anchor searches against a CTC-shaped fragmented profile: one
-/// rectangle per job from the head of the trace, staggered in time.
+/// rectangle per job from the head of the trace, staggered in time. The
+/// buffer axis is absent (total_bb = 0, demands 0): the procs-only path.
 AnchorStats measure_anchors(const workload::Trace& trace, int procs) {
-  core::Profile profile{procs};
+  core::MultiProfile profile{procs};
   sim::Rng rng{11};
   sim::Time clock = 0;
   for (std::size_t i = 0; i < trace.size() && i < 400; ++i) {
     const workload::Job& job = trace[i];
     clock = sim::saturating_add(clock, rng.uniform_int(0, 2000));
     const sim::Time begin =
-        profile.earliest_anchor(job.procs, job.estimate, clock);
+        profile.earliest_anchor(job.procs, 0, job.estimate, clock);
     profile.reserve(begin, sim::saturating_add(begin, job.estimate),
-                    job.procs);
+                    job.procs, 0);
   }
   AnchorStats stats;
   stats.breakpoints = profile.segments().size();
@@ -302,54 +276,23 @@ AnchorStats measure_anchors(const workload::Trace& trace, int procs) {
 
   auto start = Clock::now();
   for (const Query& q : queries)
-    benchmark::DoNotOptimize(profile.earliest_anchor(q.procs, q.dur, q.from));
+    benchmark::DoNotOptimize(
+        profile.earliest_anchor(q.procs, 0, q.dur, q.from));
   stats.ns_per_anchor = seconds_since(start) * 1e9 / kQueries;
 
-  // Best of three for both sides of the ratio below: the same noise
-  // model as measure_sim, and a fair denominator.
-  double best_single = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    start = Clock::now();
-    for (const Query& q : queries) {
-      const sim::Time anchor =
-          profile.find_and_reserve(q.procs, q.dur, q.from);
-      benchmark::DoNotOptimize(anchor);
-      profile.release(anchor, sim::saturating_add(anchor, q.dur), q.procs);
-    }
-    best_single = std::min(best_single, seconds_since(start) * 1e9 / kQueries);
-  }
-  stats.ns_per_find_and_reserve = best_single;
-
-  // The same fragmented timeline and query stream against the
-  // generalized profile with the buffer axis absent: the procs-only
-  // no-regression measurement.
-  core::MultiProfile multi{procs};
-  {
-    sim::Rng rebuild{11};
-    sim::Time t = 0;
-    for (std::size_t i = 0; i < trace.size() && i < 400; ++i) {
-      const workload::Job& job = trace[i];
-      t = sim::saturating_add(t, rebuild.uniform_int(0, 2000));
-      const sim::Time begin = multi.earliest_anchor(job.procs, 0,
-                                                    job.estimate, t);
-      multi.reserve(begin, sim::saturating_add(begin, job.estimate),
-                    job.procs, 0);
-    }
-  }
+  // Best of three: the same noise model as measure_sim.
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     start = Clock::now();
     for (const Query& q : queries) {
       const sim::Time anchor =
-          multi.find_and_reserve(q.procs, 0, q.dur, q.from);
+          profile.find_and_reserve(q.procs, 0, q.dur, q.from);
       benchmark::DoNotOptimize(anchor);
-      multi.release(anchor, sim::saturating_add(anchor, q.dur), q.procs, 0);
+      profile.release(anchor, sim::saturating_add(anchor, q.dur), q.procs, 0);
     }
     best = std::min(best, seconds_since(start) * 1e9 / kQueries);
   }
-  stats.ns_per_find_and_reserve_multi = best;
-  stats.multi_axis0_ratio =
-      stats.ns_per_find_and_reserve_multi / stats.ns_per_find_and_reserve;
+  stats.ns_per_find_and_reserve = best;
   return stats;
 }
 
@@ -672,12 +615,7 @@ void write_json(const Report& report, const std::string& path) {
       << "  \"anchor\": {\"breakpoints\": " << report.anchors.breakpoints
       << ", \"ns_per_anchor\": " << report.anchors.ns_per_anchor
       << ", \"ns_per_find_and_reserve\": "
-      << report.anchors.ns_per_find_and_reserve
-      << ", \"ns_per_find_and_reserve_multi\": "
-      << report.anchors.ns_per_find_and_reserve_multi << "},\n"
-      // Flat key for the smoke guard's single-number extractor.
-      << "  \"multi_axis0_ratio\": " << report.anchors.multi_axis0_ratio
-      << ",\n"
+      << report.anchors.ns_per_find_and_reserve << "},\n"
       << "  \"profile_breakpoints\": {\"peak\": " << report.breakpoints.peak
       << ", \"mean\": " << report.breakpoints.mean << "},\n"
       // Flat keys so the smoke guard's single-number extractor reads
@@ -722,10 +660,6 @@ void print_report(const Report& report) {
               report.anchors.ns_per_anchor,
               report.anchors.ns_per_find_and_reserve,
               report.anchors.breakpoints);
-  std::printf("multi-profile axis-0 find+reserve: %.1f ns (%.2fx the "
-              "single-axis profile)\n",
-              report.anchors.ns_per_find_and_reserve_multi,
-              report.anchors.multi_axis0_ratio);
   std::printf("conservative run breakpoints: peak %zu, mean %.1f\n",
               report.breakpoints.peak, report.breakpoints.mean);
   std::printf("decision seam: on_submit p50 %.0f ns p99 %.0f ns, on_finish "
@@ -825,25 +759,6 @@ int run_smoke(const ReportOptions& options) {
         "perf smoke: eps_%s %.0f events/s, baseline %.0f, floor %.0f -- ",
         p.scheme.c_str(), p.events_per_sec, base_eps, floor);
     if (p.events_per_sec < floor) {
-      std::printf("FAIL\n");
-      ok = false;
-    } else {
-      std::printf("OK\n");
-    }
-  }
-  // The axis-0 no-regression band: the generalized MultiProfile on a
-  // procs-only query stream, relative to the single-axis Profile on the
-  // identical stream. A same-machine ratio like the cost factors, so
-  // hardware normalizes out; banded at 2x the recorded baseline (when
-  // the baseline carries the key).
-  double base_ratio = 0.0;
-  if (read_json_number(options.baseline, "multi_axis0_ratio", base_ratio) &&
-      base_ratio > 0.0) {
-    const double ratio_limit = 2.0 * base_ratio;
-    std::printf("perf smoke: multi_axis0_ratio %.3f, baseline %.3f, "
-                "limit %.3f -- ",
-                report.anchors.multi_axis0_ratio, base_ratio, ratio_limit);
-    if (report.anchors.multi_axis0_ratio > ratio_limit) {
       std::printf("FAIL\n");
       ok = false;
     } else {

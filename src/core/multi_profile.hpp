@@ -1,28 +1,36 @@
-// bfsim -- the multi-resource availability profile: free capacity on
-// every resource axis as a function of future time.
+// bfsim -- the availability profile: free capacity on every resource
+// axis as a function of future time.
 //
-// `core::Profile` tracks one axis (processors). Burst-buffer-aware
-// scheduling (Kopanski & Rzadca, arXiv:2109.00082 / 2111.10200) needs a
-// second shared axis: jobs demand processors *and* burst-buffer
-// gigabytes, and a reservation must hold both simultaneously over its
-// whole window. MultiProfile keeps Profile's design wholesale -- flat
-// sorted coalesced vector of breakpoints, fused find_and_reserve,
-// per-width anchor-hint cache, saturating time arithmetic -- and widens
-// each segment to carry free capacity per axis.
+// The profile is the skyline of the schedule's resources x time chart:
+// a piecewise-constant map from time to free capacity, net of running
+// jobs (until their *estimated* completion), queued-job reservations
+// and outages. Every profile-based scheduler and the auditor use it
+// through earliest_anchor, reserve, release and find_and_reserve (a
+// fused search + reserve). Two axes: processors, and the burst buffer
+// of Kopanski & Rzadca (arXiv:2109.00082 / 2111.10200), where a
+// reservation must hold both over its whole window. Procs-only runs use
+// total_bb == 0 and bb == 0 demands.
 //
-// Axis-0 compatibility contract: a MultiProfile constructed with
-// total_bb == 0 and driven with bb == 0 demands behaves byte-identically
-// to a Profile of the same width -- same segments, same anchors, same
-// hint cache evolution. The multi-resource differential suite proves it.
+// The timeline is a flat sorted vector of breakpoints rather than a
+// std::map: anchor searches and rectangle updates are linear scans over
+// contiguous memory, which compression passes hammer. It is kept fully
+// coalesced (adjacent breakpoints differ on some axis), so breakpoints()
+// counts maximal constant segments. tests/core/reference_map_profile.hpp
+// keeps the std::map version as the differential oracle.
 //
-// Hint-cache soundness across axes: certificates are keyed by processor
-// width only. *Consulting* them is sound for any burst-buffer demand (no
-// instant with procs free >= width ≤ the query's procs-need means no
-// joint anchor there either), but *recording* from a search with bb > 0
-// would be unsound -- the advance loop also skips segments blocked only
-// on the buffer axis, which may still have enough processors. Searches
-// therefore record certificates only when bb == 0; this is also exactly
-// what keeps the bb == 0 query path identical to Profile's.
+// Anchor searches consult a per-width hint cache (AnchorHint below): a
+// search certifies "no segment with >= w free processors in [nb, t)",
+// and later searches for widths >= w resume from t. The cache never
+// changes a result (the map differential and hint property suites prove
+// it). Reserves only remove capacity, so certificates survive them; a
+// release over [b, e) truncates them at b.
+//
+// Certificates are keyed by processor width only. *Consulting* them is
+// sound for any burst-buffer demand (a joint anchor needs the
+// processors), but *recording* from a search with bb > 0 is not: its
+// advance loop also skips segments blocked only on the buffer axis,
+// which may have enough processors. Searches therefore record
+// certificates only when bb == 0.
 #pragma once
 
 #include <array>
@@ -45,8 +53,7 @@ class MultiProfile {
  public:
   /// A maximal constant piece of the timeline: `procs` free processors
   /// and `bb` free burst-buffer units from `begin` until the next
-  /// segment (the last segment extends forever). 16 bytes, same as
-  /// Profile::Segment.
+  /// segment (the last segment extends forever). 16 bytes.
   struct Segment {
     sim::Time begin;
     int procs;
@@ -55,7 +62,7 @@ class MultiProfile {
   };
 
   /// total_bb == 0 means the burst-buffer axis is absent: every demand
-  /// must then be bb == 0 and the timeline degenerates to Profile.
+  /// must then be bb == 0 and the timeline tracks processors alone.
   explicit MultiProfile(int total_procs, int total_bb = 0);
 
   [[nodiscard]] int total_procs() const { return total_procs_; }
@@ -116,8 +123,15 @@ class MultiProfile {
   /// profile is unchanged when it throws.
   void release(sim::Time begin, sim::Time end, int procs, int bb);
 
-  /// Forget all breakpoints strictly before `t`; the timeline keeps its
-  /// exact shape on [t, +inf). See Profile::discard_before.
+  /// Forget all breakpoints strictly before `t`: the timeline keeps its
+  /// exact shape on [t, +inf) while [0, t) collapses into the segment
+  /// containing t (a lookup at a discarded instant returns its values).
+  /// Schedulers whose clock has passed `t` call this to garbage-collect
+  /// consumed history -- on-time completions never release their
+  /// rectangle, so without pruning a long replay accumulates thousands
+  /// of dead breakpoints that every binary search and memmove then pays
+  /// for. Anchor searches with not_before >= t return the same anchors
+  /// before and after (the hint and map differential suites prove it).
   void discard_before(sim::Time t);
 
   /// The full piecewise timeline, coalesced, for inspection and tests.
@@ -139,8 +153,13 @@ class MultiProfile {
 
   /// One certificate of absent processor capacity: no time u in
   /// [not_before, bound) has procs_free(u) >= the bucket's width.
-  /// Identical semantics to Profile::AnchorHint; the burst-buffer axis
-  /// never weakens a certificate because recording is gated on bb == 0.
+  /// bound <= not_before means "no information". Certificates are
+  /// recorded per power-of-two width bucket: a search for `procs` stores
+  /// under the smallest bucket width >= procs (weakening is sound: free
+  /// >= bucket implies free >= procs) and consults every bucket width
+  /// <= procs (strengthening is sound: free >= procs implies free >=
+  /// bucket). The burst-buffer axis never weakens a certificate because
+  /// recording is gated on bb == 0.
   struct AnchorHint {
     sim::Time not_before = 0;
     sim::Time bound = 0;

@@ -40,7 +40,7 @@ inline constexpr Time kWeek = 7 * kDay;
 
 /// lhs + rhs clamped into [numeric_limits<Time>::min(), kTimeMax]
 /// instead of wrapping. Compiles to an add plus a conditional move on
-/// overflow, so it is free to use on hot paths (Profile::anchor_from,
+/// overflow, so it is free to use on hot paths (MultiProfile::anchor_from,
 /// the engine's timer arithmetic) where either operand may be
 /// attacker-sized.
 [[nodiscard]] constexpr Time saturating_add(Time lhs, Time rhs) {

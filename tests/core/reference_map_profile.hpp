@@ -1,11 +1,12 @@
 // bfsim tests -- the original std::map-based availability profile, kept
-// verbatim as the differential-testing reference for the flat-vector
-// core::Profile that replaced it. Semantics are the contract; this
-// implementation is the spec. Two deliberate deviations from the seed
-// version, matching fixes carried into the production profile:
+// as the differential-testing reference for the flat-vector
+// core::MultiProfile's processor axis (driven with bb == 0). Semantics
+// are the contract; this implementation is the spec. Three deliberate
+// deviations from the seed version, matching the production profile:
 //   * fits() validates a negative window start instead of decrementing
 //     points_.upper_bound(begin) past begin() (undefined behaviour);
-//   * find_and_reserve() exists (search + reserve, unfused here).
+//   * find_and_reserve() exists (search + reserve, unfused here);
+//   * discard_before() exists (collapse the past into the origin key).
 #pragma once
 
 #include <limits>
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/profile.hpp"
 #include "sim/time.hpp"
 
 namespace bfsim::core::test {
@@ -22,7 +22,13 @@ namespace bfsim::core::test {
 /// Reference model: time -> free processors in a std::map.
 class MapProfile {
  public:
-  using Segment = Profile::Segment;
+  /// A maximal constant piece of the timeline: `free` processors from
+  /// `begin` until the next segment (the last segment extends forever).
+  struct Segment {
+    sim::Time begin;
+    int free;
+    friend bool operator==(const Segment&, const Segment&) = default;
+  };
 
   explicit MapProfile(int total_procs) : total_(total_procs) {
     if (total_procs < 1)
@@ -102,6 +108,14 @@ class MapProfile {
     if (procs < 0)
       throw std::invalid_argument("MapProfile::release: procs < 0");
     apply(begin, end, procs);
+  }
+
+  /// Forget the past before `t`: [0, t) takes the value at t.
+  void discard_before(sim::Time t) {
+    if (t <= 0) return;
+    const int value = free_at(t);
+    points_.erase(points_.begin(), points_.upper_bound(t));
+    points_[0] = value;
   }
 
   [[nodiscard]] std::vector<Segment> segments() const {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/conservative_scheduler.hpp"
-#include "core/profile.hpp"
+#include "core/multi_profile.hpp"
 #include "core/simulation.hpp"
 #include "test_support.hpp"
 

@@ -4,15 +4,14 @@
 //      capacity, one per axis) checked against randomized operation
 //      sequences -- the 2-axis semantics are proven against something
 //      too simple to be wrong;
-//   2. the axis-0 compatibility contract: a MultiProfile driven with
-//      bb == 0 demands must match core::Profile operation-for-operation
-//      -- same anchors, same segments, same breakpoint count, same
-//      rejections -- which is the data-structure half of the repo-wide
-//      "procs-only schedules are byte-identical" guarantee;
-//   3. directed unit tests for the joint-axis behaviors the oracle
+//   2. directed unit tests for the joint-axis behaviors the oracle
 //      exercises only probabilistically (buffer-only blocking, per-axis
 //      error messages, joint coalescing);
-//   4. the read-only move test against release + re-anchor.
+//   3. the read-only move test against release + re-anchor.
+//
+// The bb == 0 path is tested on its own in test_profile.cpp,
+// test_profile_hints.cpp and, against the std::map oracle,
+// test_profile_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "core/multi_profile.hpp"
-#include "core/profile.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -186,94 +184,7 @@ TEST_P(MultiProfileOracleTest, RandomOpsMatchPerTimestepOracle) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, MultiProfileOracleTest,
                          testing::Values(21, 22, 23, 24, 25, 26));
 
-// -- Tier 2: the axis-0 compatibility contract ------------------------
-
-class MultiProfileAxisZeroTest : public testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(MultiProfileAxisZeroTest, BbZeroPathIsIdenticalToProfile) {
-  constexpr int kProcs = 48;
-  constexpr sim::Time kHorizon = 100000;
-  sim::Rng rng{GetParam()};
-  MultiProfile multi{kProcs};  // total_bb defaults to 0: axis absent
-  Profile flat{kProcs};
-
-  const auto expect_identical = [&] {
-    ASSERT_NO_THROW(multi.check_invariants());
-    // Not just equivalent: the same breakpoints, which pins the internal
-    // representation (coalescing and hint-cache evolution included, as
-    // different hints would surface as different anchors below).
-    ASSERT_EQ(multi.breakpoints(), flat.breakpoints());
-    const auto ms = multi.segments();
-    const auto fs = flat.segments();
-    ASSERT_EQ(ms.size(), fs.size());
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-      ASSERT_EQ(ms[i].begin, fs[i].begin);
-      ASSERT_EQ(ms[i].procs, fs[i].free);
-      ASSERT_EQ(ms[i].bb, 0);
-    }
-  };
-
-  struct Live {
-    sim::Time b, e;
-    int procs;
-  };
-  std::vector<Live> live;
-
-  for (int step = 0; step < 400; ++step) {
-    const double dice = rng.next_double();
-    if (dice < 0.28 && !live.empty()) {
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      Live& r = live[idx];
-      const bool tail_only = r.e - r.b > 2 && rng.bernoulli(0.4);
-      const sim::Time from =
-          tail_only ? r.b + rng.uniform_int(1, r.e - r.b - 1) : r.b;
-      multi.release(from, r.e, r.procs, 0);
-      flat.release(from, r.e, r.procs);
-      if (tail_only) {
-        r.e = from;
-      } else {
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-      }
-    } else if (dice < 0.62) {
-      const int procs = static_cast<int>(rng.uniform_int(1, kProcs));
-      const sim::Time dur = rng.uniform_int(1, 4000);
-      const sim::Time from = rng.uniform_int(0, kHorizon);
-      const sim::Time got = multi.find_and_reserve(procs, 0, dur, from);
-      const sim::Time want = flat.find_and_reserve(procs, dur, from);
-      ASSERT_EQ(got, want);
-      live.push_back({got, got + dur, procs});
-    } else if (dice < 0.75) {
-      // discard_before exercises the hint/breakpoint bookkeeping both
-      // implementations must age identically. Discarding settles the
-      // past, so the live set is trimmed the way the scheduler trims
-      // it: rectangles wholly before the cut are never released again,
-      // straddlers only ever release their surviving tail.
-      const sim::Time cut = rng.uniform_int(0, kHorizon / 4);
-      multi.discard_before(cut);
-      flat.discard_before(cut);
-      std::erase_if(live, [cut](const Live& r) { return r.e <= cut; });
-      for (Live& r : live) r.b = std::max(r.b, cut);
-    } else {
-      const int procs = static_cast<int>(rng.uniform_int(1, kProcs));
-      const sim::Time dur = rng.uniform_int(1, 8000);
-      const sim::Time from = rng.uniform_int(0, kHorizon);
-      ASSERT_EQ(multi.earliest_anchor(procs, 0, dur, from),
-                flat.earliest_anchor(procs, dur, from));
-      ASSERT_EQ(multi.fits(procs, 0, from, from + dur),
-                flat.fits(procs, from, from + dur));
-      for (sim::Time t = 0; t <= kHorizon; t += kHorizon / 13)
-        ASSERT_EQ(multi.procs_free_at(t), flat.free_at(t));
-    }
-    expect_identical();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, MultiProfileAxisZeroTest,
-                         testing::Values(31, 32, 33, 34));
-
-// -- Tier 3: directed joint-axis behavior -----------------------------
+// -- Tier 2: directed joint-axis behavior -----------------------------
 
 TEST(MultiProfile, BufferAxisAloneDelaysAnAnchor) {
   MultiProfile profile{8, 100};
@@ -387,7 +298,7 @@ TEST(MultiProfile, WindowsSaturateAtTheFarFuture) {
   EXPECT_EQ(profile.earliest_anchor(1, 1, sim::kTimeMax, 0), 10);
 }
 
-// -- Tier 4: the read-only move test ----------------------------------
+// -- Tier 3: the read-only move test ----------------------------------
 //
 // anchors_earlier must answer exactly what release -> earliest_anchor <
 // start -> reserve back answers, on random two-axis profiles: with the
