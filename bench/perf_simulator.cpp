@@ -31,6 +31,7 @@
 #include "core/conservative_scheduler.hpp"
 #include "core/decision_core.hpp"
 #include "core/multi_profile.hpp"
+#include "core/reservation_heap.hpp"
 #include "core/simulation.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -132,6 +133,78 @@ void BM_MultiProfileFindAndReserveTwoAxis(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MultiProfileFindAndReserveTwoAxis);
+
+void BM_ProfileSegmentLookup(benchmark::State& state) {
+  // procs_free_at at random instants over a ~150-breakpoint two-axis
+  // profile (a contended conservative queue's depth): the segment search
+  // every move test, anchor search and reserve starts with.
+  core::MultiProfile profile{128, 1024};
+  sim::Rng rng{3};
+  while (profile.breakpoints() < 150) {
+    const sim::Time begin = rng.uniform_int(0, 50000);
+    const sim::Time end =
+        sim::saturating_add(begin, rng.uniform_int(100, 5000));
+    const int procs = static_cast<int>(rng.uniform_int(1, 32));
+    const int bb = static_cast<int>(rng.uniform_int(0, 256));
+    if (profile.fits(procs, bb, begin, end))
+      profile.reserve(begin, end, procs, bb);
+  }
+  std::vector<sim::Time> queries(4096);
+  for (sim::Time& t : queries) t = rng.uniform_int(0, 60000);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(profile.procs_free_at(queries[i]));
+    i = (i + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProfileSegmentLookup);
+
+void BM_ReservationHeapCompressionChurn(benchmark::State& state) {
+  // The due-heap under compression: 100 live reservations, each
+  // iteration moves one of them earlier (never before the clock), and
+  // every eighth the clock advances to the earliest start, whose jobs
+  // start and come back as new arrivals further out.
+  constexpr core::JobId kLive = 100;
+  sim::Rng rng{4};
+  core::ReservationHeap heap;
+  core::TimeByJob starts;
+  sim::Time now = 0;
+  const auto arrive = [&](core::JobId id) {
+    const sim::Time due_at = sim::saturating_add(now, rng.uniform_int(1, 20000));
+    starts.set(id, due_at);
+    heap.push(due_at, id);
+  };
+  for (core::JobId id = 0; id < kLive; ++id) arrive(id);
+  std::vector<core::JobId> picks(4096);
+  for (core::JobId& pick : picks)
+    pick = static_cast<core::JobId>(rng.uniform_int(0, kLive - 1));
+  std::vector<core::JobId> due;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const core::JobId id = picks[i % picks.size()];
+    const sim::Time not_before = sim::saturating_add(now, 1);
+    const sim::Time held = starts.at(id);
+    if (held > not_before) {
+      const sim::Time earlier = sim::saturating_add(
+          not_before, sim::saturating_sub(held, not_before) / 2);
+      starts.set(id, earlier);
+      heap.push(earlier, id);
+    }
+    if (++i % 8 == 0) {
+      now = heap.earliest(starts);
+      due.clear();
+      heap.take_due(now, starts, due);
+      for (const core::JobId started : due) {
+        starts.erase(started);
+        arrive(started);
+      }
+    }
+    benchmark::DoNotOptimize(heap.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReservationHeapCompressionChurn);
 
 workload::Trace bench_trace(exp::TraceKind kind, std::size_t jobs) {
   exp::Scenario scenario;

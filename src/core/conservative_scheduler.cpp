@@ -61,6 +61,7 @@ bool ConservativeScheduler::job_cancelled(JobId id, Time now) {
   const Time end = sim::saturating_add(start, job.estimate);
   profile_.release(start, end, job.procs, job.bb);
   reservations_.erase(id);
+  due_.erase(id);
   // The vacated rectangle is a fresh hole: compress around it. Capacity
   // only appeared from `start` onwards, so reservations before it are
   // immovable.

@@ -31,12 +31,18 @@ MultiProfile::MultiProfile(int total_procs, int total_bb)
 }
 
 std::size_t MultiProfile::segment_index(sim::Time t) const {
-  // First breakpoint strictly after t, minus one; points_[0].begin == 0
-  // and t >= 0, so the predecessor always exists.
-  const auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](sim::Time time, const Segment& s) { return time < s.begin; });
-  return static_cast<std::size_t>(it - points_.begin()) - 1;
+  // The last breakpoint with begin <= t; points_[0].begin == 0 and
+  // t >= 0, so it always exists. A halving search that keeps base[0] <=
+  // t: every step is one compare and a conditional move, with no
+  // data-dependent branch for the predictor to miss.
+  const Segment* base = points_.data();
+  std::size_t n = points_.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half].begin <= t ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - points_.data());
 }
 
 int MultiProfile::procs_free_at(sim::Time t) const {
@@ -103,20 +109,18 @@ void MultiProfile::clamp_hints(sim::Time b) {
 }
 
 std::pair<sim::Time, std::size_t> MultiProfile::anchor_from(
-    int procs, int bb, sim::Time duration, sim::Time not_before,
-    sim::Time limit) const {
+    int procs, int bb, sim::Time duration, sim::Time not_before) const {
   // Resume from the certified prefix, then advance to the first instant
   // with capacity on both axes. The skipped prefix extends this width's
   // certificate only for bb == 0 searches: with a buffer demand the
   // advance loop also skips segments blocked purely on the buffer axis,
   // which says nothing about their processors. The fully-free tail ends
-  // every advance; a candidate past `limit` ends the search.
+  // every advance.
   const bool record = bb == 0;
   const sim::Time start = hinted_start(procs, not_before);
   std::size_t i = segment_index(start);
   while (points_[i].procs < procs || points_[i].bb < bb) ++i;
   sim::Time candidate = std::max(start, points_[i].begin);
-  if (candidate > limit) return {sim::kNoTime, i};
   if (record) record_hint(procs, not_before, candidate);
   for (;;) {
     // points_[i] is the segment containing `candidate`. Scan forward
@@ -145,7 +149,6 @@ std::pair<sim::Time, std::size_t> MultiProfile::anchor_from(
       ++scan;
     } while (points_[scan].procs < procs || points_[scan].bb < bb);
     candidate = points_[scan].begin;
-    if (candidate > limit) return {sim::kNoTime, scan};
     i = scan;
   }
 }
@@ -166,15 +169,50 @@ bool MultiProfile::anchors_earlier(int procs, int bb, sim::Time duration,
   const Segment& last = points_[segment_index(sim::saturating_sub(start, 1))];
   if (last.procs >= procs && last.bb >= bb) return true;
   // (b) A window ending at-or-before `start`: the held rectangle is not
-  // in it, so the profile as it stands decides. Only window starts whose
-  // window overlaps [fresh_begin, fresh_end) are candidates.
-  const sim::Time lo = std::max(
-      not_before,
-      sim::saturating_add(sim::saturating_sub(fresh_begin, duration), 1));
-  const sim::Time hi = std::min(sim::saturating_sub(start, duration),
-                                sim::saturating_sub(fresh_end, 1));
-  return lo <= hi &&
-         anchor_from(procs, bb, duration, lo, hi).first != sim::kNoTime;
+  // in it, so the profile as it stands decides, and only windows
+  // overlapping the released hull [fresh_begin, fresh_end) are
+  // candidates. Such a window lies in [not_before, start), so it meets
+  // the hull inside [lo, hi). Conversely, an admitting run of at least
+  // `duration` (clipped to [not_before, start)) that meets [lo, hi) at
+  // some u holds a `duration` window containing u. So scan the segments
+  // overlapping [lo, hi) and measure each admitting run that meets them,
+  // extending it past [lo, hi) on either side as far as deciding needs.
+  const sim::Time lo = std::max(not_before, fresh_begin);
+  const sim::Time hi = std::min(start, fresh_end);
+  if (lo >= hi) return false;
+  const auto admits = [&](const Segment& s) {
+    return s.procs >= procs && s.bb >= bb;
+  };
+  const std::size_t first = segment_index(lo);
+  for (std::size_t i = first; i < points_.size() && points_[i].begin < hi;) {
+    if (!admits(points_[i])) {
+      ++i;
+      continue;
+    }
+    // Extend right until the run holds a window from its own first
+    // instant, or up to `start` (the tail segment admits, so a run that
+    // reaches the timeline's end reaches `start`).
+    const sim::Time reach = std::min(
+        start,
+        sim::saturating_add(std::max(points_[i].begin, not_before), duration));
+    std::size_t j = i + 1;
+    while (j < points_.size() && points_[j].begin < reach && admits(points_[j]))
+      ++j;
+    const sim::Time run_end =
+        j < points_.size() ? std::min(points_[j].begin, start) : start;
+    // A window must begin by `latest`. Only the run holding `lo` can
+    // begin before the scan does: extend it left, but no further than
+    // `latest` or `not_before` asks.
+    const sim::Time latest = sim::saturating_sub(run_end, duration);
+    std::size_t k = i;
+    if (k == first)
+      while (k > 0 && points_[k].begin > latest &&
+             points_[k].begin > not_before && admits(points_[k - 1]))
+        --k;
+    if (std::max(points_[k].begin, not_before) <= latest) return true;
+    i = j;
+  }
+  return false;
 }
 
 sim::Time MultiProfile::earliest_anchor(int procs, int bb, sim::Time duration,

@@ -97,10 +97,15 @@ class MultiProfile {
   ///
   /// A window that reaches `start` lies past it only inside the held
   /// rectangle, so it fits iff the capacity at start - 1 admits the
-  /// demand: one lookup. Windows lying wholly before `start` are searched
-  /// only among those overlapping [fresh_begin, fresh_end). The defaults
-  /// search them all; a caller that knows the rectangle sat at its
-  /// earliest anchor before some releases passes their hull, because
+  /// demand: one lookup, whatever the hull. Windows lying wholly before
+  /// `start` count only when they overlap [fresh_begin, fresh_end): the
+  /// test scans just the segments in that hull and measures each run of
+  /// segments admitting the demand that meets it, clipped to
+  /// [not_before, start). Some run is at least `duration` long exactly
+  /// when such a window exists, because a long enough run that meets the
+  /// hull holds a window that meets it too. The defaults scan
+  /// [not_before, start) whole; a caller that knows the rectangle sat at
+  /// its earliest anchor before some releases passes their hull, because
   /// only released capacity can open such a window. Same argument
   /// requirements as earliest_anchor.
   [[nodiscard]] bool anchors_earlier(int procs, int bb, sim::Time duration,
@@ -177,14 +182,13 @@ class MultiProfile {
   /// Truncate every certificate at a processor-capacity increase at `b`.
   void clamp_hints(sim::Time b);
 
-  /// Index of the segment containing t (t >= 0).
+  /// Index of the segment containing t (t >= 0): a branchless halving
+  /// search over points_.
   [[nodiscard]] std::size_t segment_index(sim::Time t) const;
   /// Anchor search core: returns the anchor and the index of the segment
-  /// containing it, or sim::kNoTime when no anchor lies at-or-before
-  /// `limit` (the search stops there). Arguments already validated.
+  /// containing it. Arguments already validated.
   [[nodiscard]] std::pair<sim::Time, std::size_t> anchor_from(
-      int procs, int bb, sim::Time duration, sim::Time not_before,
-      sim::Time limit = sim::kTimeMax) const;
+      int procs, int bb, sim::Time duration, sim::Time not_before) const;
   /// Add (dprocs, dbb) over [begin, end) given the index of the segment
   /// containing `begin`; splits boundary segments and re-coalesces.
   /// Capacity must have been validated by the caller.

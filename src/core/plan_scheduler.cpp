@@ -96,6 +96,7 @@ bool PlanScheduler::job_cancelled(JobId id, Time now) {
   const Job job = take_queued(id);
   const Time start = reservations_.at(id);
   reservations_.erase(id);
+  due_.erase(id);
   if (time_varying_priority() && !queue_.empty()) {
     replan(now);
     return due_.earliest(reservations_) == now;

@@ -115,6 +115,7 @@ bool SlackScheduler::job_cancelled(JobId id, Time now) {
   const Time end = sim::saturating_add(start, job.estimate);
   profile_.release(start, end, job.procs, job.bb);
   reservations_.erase(id);
+  due_.erase(id);
   deadlines_.erase(id);
   compress(now, start, end);
   return due_.earliest(reservations_) == now;

@@ -85,7 +85,7 @@ class SlackScheduler final : public SchedulerBase {
   /// Pass-time working buffer, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;
-  /// Earliest guaranteed start (lazy-deletion; rebuilt wholesale when a
+  /// Earliest guaranteed start, one entry per job (rebuilt wholesale when a
   /// displacement reassigns every reservation).
   ReservationHeap due_;
   std::uint64_t displacements_ = 0;

@@ -298,6 +298,36 @@ TEST(MultiProfile, WindowsSaturateAtTheFarFuture) {
   EXPECT_EQ(profile.earliest_anchor(1, 1, sim::kTimeMax, 0), 10);
 }
 
+// The segment lookup is a branchless halving search; its edges are the
+// breakpoint counts around powers of two (where the halving steps change)
+// and the queries exactly on, and one instant before, each breakpoint.
+TEST(MultiProfile, LookupsMatchALinearScanAtEveryBreakpointEdge) {
+  for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17}) {
+    // A staircase: [10k, 10k + 10) holds n - 1 - k unit rectangles on
+    // both axes, so there are exactly n breakpoints 0, 10, ..., 10(n-1).
+    MultiProfile profile{64, 64};
+    for (std::size_t k = 0; k + 1 < n; ++k)
+      profile.reserve(0, static_cast<sim::Time>(10 * (k + 1)), 1, 1);
+    ASSERT_EQ(profile.breakpoints(), n);
+    const std::vector<MultiProfile::Segment> segments = profile.segments();
+    std::vector<sim::Time> queries{0, sim::kTimeMax};
+    for (const MultiProfile::Segment& s : segments) {
+      queries.push_back(s.begin);
+      if (s.begin > 0) queries.push_back(s.begin - 1);
+    }
+    for (const sim::Time t : queries) {
+      // The last segment beginning at-or-before t, by linear scan.
+      std::size_t want = 0;
+      for (std::size_t i = 0; i < segments.size(); ++i)
+        if (segments[i].begin <= t) want = i;
+      EXPECT_EQ(profile.procs_free_at(t), segments[want].procs)
+          << "n=" << n << " t=" << t;
+      EXPECT_EQ(profile.bb_free_at(t), segments[want].bb)
+          << "n=" << n << " t=" << t;
+    }
+  }
+}
+
 // -- Tier 3: the read-only move test ----------------------------------
 //
 // anchors_earlier must answer exactly what release -> earliest_anchor <
@@ -501,6 +531,78 @@ TEST(MultiProfileMoveTest, ReleaseLogCoversWindowsTouchingItsEdges) {
   EXPECT_TRUE(first.anchors_earlier(4, 0, 10, 100, 0, 20, 21));
   EXPECT_TRUE(first.anchors_earlier(4, 0, 10, 100, 20, 20, 21));
   EXPECT_FALSE(first.anchors_earlier(4, 0, 10, 100, 21, 20, 21));
+}
+
+// The hull scan measures whole admitting runs: a run that starts before
+// the hull (here over two differently-filled segments) counts from its
+// true beginning, clipped to not_before.
+TEST(MultiProfileMoveTest, AnAdmittingRunCountsFromBeforeTheHull) {
+  MultiProfile profile{10, 0};
+  profile.reserve(0, 20, 8, 0);
+  profile.reserve(20, 35, 4, 0);  // 6 free: admits 4
+  profile.reserve(50, 100, 8, 0);
+  profile.reserve(100, 120, 4, 0);  // held: 4 procs x 20 at t=100
+  // The run [20, 50) spans two segments; only [35, 50) meets the hull
+  // [40, 41), and it is 15 long. Counted from 20 the run holds [21, 41).
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 20, 100, 0, 40, 41));
+  EXPECT_TRUE(moves_by_release(profile, 4, 0, 20, 100, 0));
+  // A 31-long job fits nowhere in the 30-long run.
+  profile.release(100, 120, 4, 0);
+  profile.reserve(100, 131, 4, 0);
+  EXPECT_FALSE(profile.anchors_earlier(4, 0, 31, 100, 0, 40, 41));
+  EXPECT_FALSE(moves_by_release(profile, 4, 0, 31, 100, 0));
+}
+
+TEST(MultiProfileMoveTest, NotBeforeClipsTheRun) {
+  MultiProfile profile{10, 0};
+  profile.reserve(0, 20, 8, 0);
+  profile.reserve(20, 35, 4, 0);
+  profile.reserve(50, 100, 8, 0);
+  profile.reserve(100, 120, 4, 0);
+  // From not_before 30 the run is [30, 50): exactly 20, enough.
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 20, 100, 30, 40, 41));
+  EXPECT_TRUE(moves_by_release(profile, 4, 0, 20, 100, 30));
+  // From 31 it is 19 long.
+  EXPECT_FALSE(profile.anchors_earlier(4, 0, 20, 100, 31, 40, 41));
+  EXPECT_FALSE(moves_by_release(profile, 4, 0, 20, 100, 31));
+}
+
+TEST(MultiProfileMoveTest, RunsEndingAtOrJustBeforeTheStart) {
+  MultiProfile profile{10, 0};
+  profile.reserve(0, 60, 8, 0);
+  profile.reserve(99, 100, 8, 0);
+  profile.reserve(100, 140, 4, 0);  // held: 4 procs x 40 at t=100
+  // The run [60, 99) stops one instant short of the start: 39 long.
+  EXPECT_FALSE(profile.anchors_earlier(4, 0, 40, 100, 0, 70, 71));
+  EXPECT_FALSE(moves_by_release(profile, 4, 0, 40, 100, 0));
+  profile.release(100, 140, 4, 0);
+  profile.reserve(100, 139, 4, 0);
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 39, 100, 0, 70, 71));
+  EXPECT_TRUE(moves_by_release(profile, 4, 0, 39, 100, 0));
+  // Once the run reaches the start, the window straddling it answers,
+  // whatever the hull.
+  profile.release(99, 100, 8, 0);
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 39, 100, 0, 70, 71));
+  EXPECT_TRUE(profile.anchors_earlier(4, 0, 39, 100, 0, 10, 11));
+  EXPECT_TRUE(moves_by_release(profile, 4, 0, 39, 100, 0));
+}
+
+TEST(MultiProfileMoveTest, SeveralShortRunsInTheHullDoNotAddUp) {
+  // Admitting runs of 9 (procs) and 9 (buffer) alternate with one-instant
+  // blockers over [0, 100); the held job needs 10.
+  MultiProfile profile{10, 10};
+  for (sim::Time b = 9; b < 100; b += 10)
+    profile.reserve(b, b + 1, (b / 10) % 2 == 0 ? 8 : 0,
+                    (b / 10) % 2 == 0 ? 0 : 8);
+  profile.reserve(100, 110, 4, 4);
+  EXPECT_FALSE(profile.anchors_earlier(4, 4, 10, 100, 0));
+  EXPECT_FALSE(profile.anchors_earlier(4, 4, 10, 100, 0, 0, 100));
+  EXPECT_FALSE(moves_by_release(profile, 4, 4, 10, 100, 0));
+  // Nine instants fit; and a run of exactly the duration is enough.
+  profile.release(100, 110, 4, 4);
+  profile.reserve(100, 109, 4, 4);
+  EXPECT_TRUE(profile.anchors_earlier(4, 4, 9, 100, 0, 55, 56));
+  EXPECT_TRUE(moves_by_release(profile, 4, 4, 9, 100, 0));
 }
 
 TEST(MultiProfileMoveTest, EstimatesNearTheFarFutureSaturate) {
