@@ -32,10 +32,12 @@ void PlanScheduler::replace_suffix(std::size_t first, Time now) {
   // Why the prefix needs no work: the last full replan placed every job
   // at its earliest anchor given the running set and the jobs ahead of
   // it. Since then only starts (which keep their planned rectangle),
-  // repairs (whose outage rectangle ends at `now`) and earlier suffix
-  // re-placements happened -- every other hook replans in full. A job's
-  // plan therefore still fits, and nothing ahead of it gained capacity,
-  // so a full replan at `now` would anchor it where it already sits.
+  // repairs (whose outage rectangle ends at `now`), on-time finishes
+  // under a static order (whose rectangle ends at `now`) and earlier
+  // suffix re-placements happened -- every other hook replans in full.
+  // A job's plan therefore still fits, and nothing ahead of it gained
+  // capacity, so a full replan at `now` would anchor it where it
+  // already sits.
   profile_.discard_before(now);
   for (std::size_t i = first; i < queue_.size(); ++i) {
     const Job& job = queue_[i];
@@ -78,14 +80,17 @@ bool PlanScheduler::job_submitted(const Job& job, Time now) {
 
 bool PlanScheduler::job_finished(JobId id, Time now) {
   const RunningJob rj = commit_finish(id);
-  if (queue_.empty()) {
-    // Nothing to re-plan around: return the unused tail of the job's
+  const bool early = now < rj.est_end;
+  if (queue_.empty() || (!early && !time_varying_priority())) {
+    // No replan: with nothing queued there is nothing to re-plan
+    // around, and an on-time finish under a static order frees nothing
+    // from `now` on, so the plan already is what a full replan would
+    // compute (see replace_suffix). Return the unused tail of the job's
     // estimated rectangle and drop the consumed history so the profile
     // stays proportional to the live schedule between replans.
-    if (now < rj.est_end)
-      profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
+    if (early) profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
     profile_.discard_before(now);
-    return false;
+    return due_.earliest(reservations_) == now;
   }
   replan(now);
   return due_.earliest(reservations_) == now;

@@ -18,8 +18,9 @@
 // Under a static priority order a submit or cancel changes the plan's
 // inputs only from one queue position on, so those two hooks re-place
 // just that suffix; the prefix is what a full replan would compute
-// again (see replace_suffix). Finishes, outages and the clock-driven
-// XFactor order keep the full replan.
+// again (see replace_suffix). A finish at its estimate frees nothing
+// from `now` on and re-places nothing. Early finishes, outages and the
+// clock-driven XFactor order keep the full replan.
 #pragma once
 
 #include <cstdint>

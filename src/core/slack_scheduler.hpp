@@ -8,10 +8,14 @@
 //
 //     deadline = conservative guarantee at arrival + slack_factor x estimate.
 //
-// slack_factor = 0 collapses to conservative backfilling (no displacement
-// tolerated); a large slack_factor approaches aggressive backfilling
-// (anybody may be pushed) while still bounding starvation -- the knob
-// trades the paper's mean-slowdown / worst-case-turnaround axes.
+// slack_factor = 0 tolerates no start past a job's arrival guarantee.
+// That equals conservative backfilling only while no job finishes before
+// its estimate: once compression has moved a reservation ahead of its
+// guarantee, a zero-slack arrival may push it back to that guarantee,
+// which conservative never does. A large slack_factor approaches
+// aggressive backfilling (anybody may be pushed) while still bounding
+// starvation -- the knob trades the paper's mean-slowdown /
+// worst-case-turnaround axes.
 //
 // Guarantee discipline (provable, asserted in tests):
 //  * on arrival, a job's deadline is fixed from its conservative anchor;

@@ -1,101 +1,91 @@
 #include "svc/server.hpp"
 
 #include <cerrno>
-#include <thread>
+#include <string>
+#include <string_view>
 
 #include "svc/protocol.hpp"
-#include "svc/queue.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
-#endif
 
 namespace bfsim::svc {
 
 namespace {
 
-/// Write all of `text`, riding out partial writes and EINTR. Returns
-/// false when the peer is gone.
-bool write_all(int fd, const std::string& text) {
-  std::size_t done = 0;
-  while (done < text.size()) {
-    const ssize_t wrote =
-        ::write(fd, text.data() + done, text.size() - done);
+/// The most of one frame the loop keeps. Two bytes over the limit: a
+/// longer frame is still over it after its '\r' is dropped, so the
+/// session rejects it as oversized whatever the read boundaries were.
+constexpr std::size_t kFrameKeep = kMaxFrameBytes + 2;
+
+/// Write `reply` and its newline, riding out partial writes and EINTR.
+/// Returns false when the peer is gone.
+bool write_reply(int fd, const std::string& reply) {
+  char newline = '\n';
+  iovec parts[2] = {{const_cast<char*>(reply.data()), reply.size()},
+                    {&newline, 1}};
+  iovec* next = parts;
+  int left = 2;
+  while (left > 0) {
+    const ssize_t wrote = ::writev(fd, next, left);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    done += static_cast<std::size_t>(wrote);
+    auto done = static_cast<std::size_t>(wrote);
+    while (left > 0 && done >= next->iov_len) {
+      done -= next->iov_len;
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + done;
+      next->iov_len -= done;
+    }
   }
   return true;
 }
 
-/// The reader half: split the byte stream into lines and enqueue them.
-/// A line longer than kMaxFrameBytes is kept only up to the limit plus
-/// one byte -- enough for the session to classify it as oversized --
-/// and the rest of it is discarded as it streams in.
-void read_lines(int fd, BoundedQueue<std::string>& queue) {
-  std::string partial;
-  bool discarding = false;
-  char buffer[4096];
-  while (true) {
-    const ssize_t got = ::read(fd, buffer, sizeof buffer);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (got == 0) break;  // EOF
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
-      if (buffer[i] != '\n') continue;
-      if (!discarding) partial.append(buffer + start, i - start);
-      start = i + 1;
-      discarding = false;
-      if (!partial.empty() && partial.back() == '\r') partial.pop_back();
-      if (!partial.empty() && !queue.push(std::move(partial))) return;
-      partial.clear();
-    }
-    if (!discarding) {
-      partial.append(buffer + start, static_cast<std::size_t>(got) - start);
-      if (partial.size() > kMaxFrameBytes + 1) {
-        partial.resize(kMaxFrameBytes + 1);
-        discarding = true;  // swallow the tail until the next newline
-      }
-    }
-  }
-  // A last unterminated line still counts: EOF ends the frame.
-  if (!partial.empty()) queue.push(std::move(partial));
-  queue.close();
+/// Append `bytes` to `partial`, keeping at most kFrameKeep bytes.
+void append_capped(std::string& partial, std::string_view bytes) {
+  partial.append(bytes.substr(0, kFrameKeep - partial.size()));
 }
 
 }  // namespace
 
-ServeResult serve_connection(int in_fd, int out_fd, Session& session,
-                             const ServeOptions& options) {
+ServeResult serve_connection(int in_fd, int out_fd, Session& session) {
   ServeResult result;
-  BoundedQueue<std::string> queue{options.queue_capacity};
-  std::thread reader{[in_fd, &queue] { read_lines(in_fd, queue); }};
-  while (true) {
-    std::optional<std::string> line = queue.pop();
-    if (!line) break;  // EOF reached and backlog drained
+  // Answer one frame; false once the connection should end.
+  const auto serve = [&](std::string_view line) {
     ++result.lines;
-    const std::string reply = session.handle_line(*line);
-    if (!write_all(out_fd, reply + '\n')) break;
-    if (session.closed()) {
-      result.clean_bye = true;
-      break;
+    if (!write_reply(out_fd, session.handle_line(line))) return false;
+    result.clean_bye = session.closed();
+    return !result.clean_bye;
+  };
+  std::string partial;  // a frame split across reads
+  char buffer[4096];
+  while (true) {
+    const ssize_t got = ::read(in_fd, buffer, sizeof buffer);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;  // EOF, or a dead peer
+    std::string_view rest{buffer, static_cast<std::size_t>(got)};
+    for (std::size_t newline = rest.find('\n');
+         newline != std::string_view::npos; newline = rest.find('\n')) {
+      // A frame wholly inside the buffer is served in place.
+      std::string_view line = rest.substr(0, newline);
+      rest.remove_prefix(newline + 1);
+      if (!partial.empty()) {
+        append_capped(partial, line);
+        line = partial;
+      }
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty() && !serve(line)) return result;
+      partial.clear();
     }
+    append_capped(partial, rest);
   }
-#if defined(__unix__) || defined(__APPLE__)
-  // Kick a reader still blocked in read(2) (sockets only; on a pipe
-  // this fails harmlessly and the client's close delivers the EOF).
-  ::shutdown(in_fd, SHUT_RD);
-#endif
-  queue.close();
-  // Drain pushers: the reader may be blocked in push(); close() above
-  // unblocks it and it exits on its own.
-  reader.join();
+  // A last unterminated line still counts: EOF ends the frame.
+  if (!partial.empty()) serve(partial);
   return result;
 }
 

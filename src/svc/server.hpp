@@ -1,38 +1,34 @@
 // bfsim -- the line-oriented connection server.
 //
 // serve_connection() pumps one established byte stream (a socket or a
-// pipe pair) through one Session: a reader thread splits the stream
-// into frame lines and pushes them onto a BoundedQueue (blocking when
-// full -- see queue.hpp for why that bound IS the backpressure
-// mechanism), while the calling thread pops lines, runs the protocol
-// state machine, and writes each reply. Frames longer than
-// kMaxFrameBytes are cut off at the wire: the reader discards the
-// oversized tail and enqueues a poison marker the worker answers with
-// a structured error, so a client streaming gigabytes of garbage
-// costs one buffer, not the heap.
+// pipe pair) through one Session on the calling thread: read(2) into a
+// buffer, split it into frame lines, answer each line, and read again
+// only once everything read so far has been answered. Every client is
+// closed-loop with one frame in flight, so a second thread would
+// overlap nothing. Backpressure is the kernel's: while the session
+// works, unread bytes stay in the socket (or pipe) buffer, and a
+// flooding client's writes stall once it is full. Inbound memory is
+// one read buffer plus one partial frame. Frames longer than
+// kMaxFrameBytes are cut off at the wire: the loop keeps only enough
+// of one to classify it, discards the rest as it streams in, and the
+// session answers it with a structured error, so a client streaming
+// gigabytes of garbage costs one buffer, not the heap.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "svc/session.hpp"
 
 namespace bfsim::svc {
-
-struct ServeOptions {
-  /// Inbound frame-queue bound (frames, not bytes).
-  std::size_t queue_capacity = 64;
-};
 
 struct ServeResult {
   std::uint64_t lines = 0;    ///< frames handled (including rejected)
   bool clean_bye = false;     ///< the client said goodbye before EOF
 };
 
-/// Serve one connection until `bye` or EOF. `in_fd`/`out_fd` may be
-/// the same descriptor (a socket) or a pipe pair. Returns after the
-/// reader thread is joined; the descriptors are not closed.
-ServeResult serve_connection(int in_fd, int out_fd, Session& session,
-                             const ServeOptions& options = {});
+/// Serve one connection until `bye`, EOF or a dead peer. `in_fd` and
+/// `out_fd` may be the same descriptor (a socket) or a pipe pair.
+/// Frames after `bye` go unanswered; the descriptors are not closed.
+ServeResult serve_connection(int in_fd, int out_fd, Session& session);
 
 }  // namespace bfsim::svc

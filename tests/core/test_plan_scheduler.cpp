@@ -142,6 +142,30 @@ TEST(PlanScheduler, StaticPrioritySubmitsAndCancelsReplaceOnlyASuffix) {
   }
 }
 
+TEST(PlanScheduler, OnTimeFinishReplansOnlyUnderXFactor) {
+  // A job that runs to its estimate frees nothing from `now` on: under
+  // a static order the plan stands, and only the clock-driven XFactor
+  // order re-sorts the queue and replans in full.
+  for (const PriorityPolicy priority :
+       {PriorityPolicy::Fcfs, PriorityPolicy::Sjf, PriorityPolicy::XFactor}) {
+    PlanScheduler scheduler{SchedulerConfig{4, priority}};
+    scheduler.job_submitted(make_job(0, 0, 100, 4), 0);
+    (void)scheduler.select_starts(0);
+    for (JobId id = 1; id <= 3; ++id)
+      scheduler.job_submitted(make_job(id, static_cast<sim::Time>(id),
+                                       static_cast<sim::Time>(40 - 10 * id), 2),
+                              static_cast<sim::Time>(id));
+    const std::uint64_t before = scheduler.full_replans();
+    EXPECT_TRUE(scheduler.job_finished(0, 100)) << to_string(priority);
+    const bool xfactor = priority == PriorityPolicy::XFactor;
+    EXPECT_EQ(scheduler.full_replans(), before + (xfactor ? 1 : 0))
+        << to_string(priority);
+    EXPECT_NO_THROW(scheduler.profile().check_invariants());
+    // Either way the two jobs planned at the finish start now.
+    EXPECT_EQ(scheduler.select_starts(100).size(), 2u) << to_string(priority);
+  }
+}
+
 TEST(PlanScheduler, XFactorSubmitsReplanInFull) {
   PlanScheduler scheduler{SchedulerConfig{4, PriorityPolicy::XFactor}};
   scheduler.job_submitted(make_job(0, 0, 100, 4), 0);

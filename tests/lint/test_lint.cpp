@@ -51,6 +51,19 @@ TEST(BfsimLint, FlagsRawTimeArithmetic) {
   EXPECT_EQ(findings.size(), 3u) << dump(findings);
 }
 
+TEST(BfsimLint, TimeLocalsAreScopedToTheirBlock) {
+  const auto findings = lint_fixture("block_scope.cpp");
+  // Inside its function the `Time start` local is still Time, in a
+  // nested block and on either side of the operator.
+  EXPECT_TRUE(has(findings, Check::kRawTimeArithmetic, 15))
+      << dump(findings);
+  EXPECT_TRUE(has(findings, Check::kRawTimeArithmetic, 17))
+      << dump(findings);
+  // Other functions' `start` (a time_point parameter, a member, an int
+  // parameter) are not.
+  EXPECT_EQ(findings.size(), 2u) << dump(findings);
+}
+
 TEST(BfsimLint, FlagsNondeterminismSources) {
   const auto findings = lint_fixture("bad_nondeterminism.cpp");
   EXPECT_TRUE(has(findings, Check::kNondeterminism, 12)) << dump(findings);

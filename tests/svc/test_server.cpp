@@ -1,16 +1,15 @@
-// The threaded transport: BoundedQueue backpressure semantics and
-// serve_connection's reader/worker pair over real descriptors. Lives
+// The transport: serve_connection's one-thread loop over real pipes,
+// with the server on its own thread and the test as the client. Lives
 // in the svc concurrency binary so CI reruns it under TSan.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <csignal>
+#include <cstdint>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
-#include "svc/queue.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
 
@@ -19,78 +18,15 @@
 namespace bfsim::svc {
 namespace {
 
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> queue{4};
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_TRUE(queue.push(3));
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.pop(), 3);
-}
-
-TEST(BoundedQueue, FullQueueBlocksThePusherUntilAPop) {
-  BoundedQueue<int> queue{1};
-  ASSERT_TRUE(queue.push(0));
-  std::atomic<bool> pushed{false};
-  std::thread producer{[&] {
-    EXPECT_TRUE(queue.push(1));  // blocks: capacity 1, queue full
-    pushed = true;
-  }};
-  // The producer cannot complete until the consumer makes room.
-  EXPECT_EQ(queue.pop(), 0);
-  EXPECT_EQ(queue.pop(), 1);  // waits for the producer's push
-  producer.join();
-  EXPECT_TRUE(pushed);
-}
-
-TEST(BoundedQueue, CloseUnblocksBothSides) {
-  BoundedQueue<int> queue{1};
-  ASSERT_TRUE(queue.push(7));
-  std::thread blocked_pusher{[&] {
-    EXPECT_FALSE(queue.push(8));  // blocked full, then closed
-  }};
-  std::thread closer{[&] { queue.close(); }};
-  closer.join();
-  blocked_pusher.join();
-  // close() is end-of-stream, not abort: the backlog still drains.
-  EXPECT_EQ(queue.pop(), 7);
-  EXPECT_EQ(queue.pop(), std::nullopt);
-  EXPECT_FALSE(queue.push(9));
-}
-
-TEST(BoundedQueue, ManyProducersOneConsumer) {
-  constexpr int kProducers = 4;
-  constexpr int kEach = 500;
-  BoundedQueue<int> queue{8};  // far smaller than the item count
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kEach; ++i)
-        ASSERT_TRUE(queue.push(p * kEach + i));
-    });
-  std::vector<int> seen(kProducers * kEach, 0);
-  for (int i = 0; i < kProducers * kEach; ++i) {
-    const std::optional<int> value = queue.pop();
-    ASSERT_TRUE(value.has_value());
-    ++seen[static_cast<std::size_t>(*value)];
-  }
-  for (std::thread& producer : producers) producer.join();
-  for (const int count : seen) EXPECT_EQ(count, 1);
-}
-
 /// A serve_connection harness over two pipes: writes frames in, reads
 /// reply lines out, with the server on its own thread.
 class PipeServer {
  public:
-  explicit PipeServer(Session& session, std::size_t queue_capacity = 4) {
+  explicit PipeServer(Session& session) {
     EXPECT_EQ(::pipe(to_server_), 0);
     EXPECT_EQ(::pipe(to_client_), 0);
-    server_ = std::thread{[this, &session, queue_capacity] {
-      ServeOptions options;
-      options.queue_capacity = queue_capacity;
-      result_ = serve_connection(to_server_[0], to_client_[1], session,
-                                 options);
+    server_ = std::thread{[this, &session] {
+      result_ = serve_connection(to_server_[0], to_client_[1], session);
       // Close the reply pipe so a reader waiting for more lines sees
       // EOF instead of hanging.
       ::close(to_client_[1]);
@@ -100,7 +36,7 @@ class PipeServer {
   ~PipeServer() {
     finish();
     ::close(to_server_[0]);
-    ::close(to_client_[0]);
+    if (to_client_[0] >= 0) ::close(to_client_[0]);
   }
 
   void send(const std::string& line) {
@@ -134,6 +70,12 @@ class PipeServer {
     }
   }
 
+  /// Close the client's read end: the server's next write fails.
+  void hang_up_reader() {
+    ::close(to_client_[0]);
+    to_client_[0] = -1;
+  }
+
   /// Close the client's write end and join the server thread.
   ServeResult finish() {
     if (to_server_[1] >= 0) {
@@ -157,6 +99,21 @@ std::string type_of(const std::string& reply) {
   const Json* type = parsed.find("type");
   return type != nullptr && type->is_string() ? type->as_string() : "";
 }
+
+/// The `frames` count of a `report` reply, or -1 for anything else. It
+/// counts the frames the session has handled, so reports show order.
+std::int64_t frames_of(const std::string& reply) {
+  if (reply.empty()) return -1;
+  const Json parsed = parse_json(reply);
+  const Json* frames = parsed.find("frames");
+  return frames != nullptr && frames->is_int() ? frames->as_int() : -1;
+}
+
+const std::string kHello =
+    R"({"type":"hello","v":3,"scheduler":"easy","procs":8})";
+const std::string kSubmit =
+    R"({"type":"events","seq":1,"now":0,"events":[)"
+    R"({"kind":"submit","id":0,"submit":0,"estimate":50,"procs":2}]})";
 
 TEST(ServeConnection, FullConversationOverPipes) {
   Session session;
@@ -239,22 +196,148 @@ TEST(ServeConnection, BlankAndCarriageReturnLinesAreIgnored) {
   EXPECT_EQ(result.lines, 2u);  // blank lines never reach the session
 }
 
-TEST(ServeConnection, BackpressureBoundsTheInboundQueue) {
-  // A tiny queue and a storm of frames written before any reply is
-  // consumed: the reader must stall rather than buffer unboundedly,
-  // and every frame must still be answered in order.
+TEST(ServeConnection, SeveralFramesInOneWriteAreAnsweredInOrder) {
   Session session;
-  PipeServer server{session, /*queue_capacity=*/2};
-  server.send(R"({"type":"hello","v":3,"scheduler":"easy","procs":8})");
-  constexpr int kFrames = 200;
-  std::thread writer{[&] {
-    for (int i = 0; i < kFrames; ++i)
-      server.send(R"({"type":"report"})");
-  }};
+  PipeServer server{session};
+  server.send_raw(kHello + "\n" + kSubmit + "\n" + R"({"type":"report"})" +
+                  "\n");
   EXPECT_EQ(type_of(server.read_reply()), "welcome");
-  for (int i = 0; i < kFrames; ++i)
-    EXPECT_EQ(type_of(server.read_reply()), "report");
-  writer.join();
+  EXPECT_EQ(type_of(server.read_reply()), "decisions");
+  EXPECT_EQ(frames_of(server.read_reply()), 3);
+  const ServeResult result = server.finish();
+  EXPECT_FALSE(result.clean_bye);
+  EXPECT_EQ(result.lines, 3u);
+}
+
+TEST(ServeConnection, OneFrameWrittenAByteAtATime) {
+  Session session;
+  PipeServer server{session};
+  const std::string framed = kHello + "\r\n" + kSubmit + "\n";
+  for (const char byte : framed) server.send_raw(std::string(1, byte));
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  const std::string decisions = server.read_reply();
+  EXPECT_EQ(type_of(decisions), "decisions");
+  EXPECT_NE(decisions.find("\"starts\":[0]"), std::string::npos);
+  EXPECT_EQ(server.finish().lines, 2u);
+}
+
+TEST(ServeConnection, CrlfEndingsAndBlankLinesInOneWrite) {
+  Session session;
+  PipeServer server{session};
+  server.send_raw("\r\n" + kHello + "\r\n\n\r\n" + kSubmit + "\r\n\n" +
+                  R"({"type":"report"})" + "\r\n");
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  EXPECT_EQ(type_of(server.read_reply()), "decisions");
+  EXPECT_EQ(frames_of(server.read_reply()), 3);
+  EXPECT_EQ(server.finish().lines, 3u);
+}
+
+TEST(ServeConnection, OversizedFrameThenAValidFrameInTheSameChunk) {
+  Session session;
+  PipeServer server{session};
+  server.send(kHello);
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  // The oversized frame's tail and the next frame share the writes the
+  // loop reads them from: the cut must end at the newline, not at a
+  // read boundary.
+  std::string huge = R"({"type":"events","pad":")";
+  huge.resize(kMaxFrameBytes + 4096, 'x');
+  server.send_raw(huge + "\n" + kSubmit + "\n");
+  const std::string error = server.read_reply();
+  EXPECT_EQ(type_of(error), "error");
+  EXPECT_NE(error.find("oversized-frame"), std::string::npos);
+  EXPECT_EQ(type_of(server.read_reply()), "decisions");
+  EXPECT_EQ(session.report().rejected, 1u);
+  EXPECT_EQ(server.finish().lines, 3u);
+}
+
+TEST(ServeConnection, FrameLimitHoldsExactlyAfterTheCarriageReturn) {
+  // A frame of exactly kMaxFrameBytes followed by CRLF is served; one
+  // byte more is oversized, however many '\r' precede the newline.
+  Session session;
+  PipeServer server{session};
+  std::string at_limit = R"({"type":"report"})";
+  at_limit.resize(kMaxFrameBytes, ' ');
+  server.send_raw(at_limit + "\r\n");
+  EXPECT_EQ(type_of(server.read_reply()), "report");
+  server.send_raw(at_limit + " \r\n");
+  EXPECT_EQ(type_of(server.read_reply()), "error");
+  server.send_raw(at_limit + "\r\r\n");
+  EXPECT_EQ(type_of(server.read_reply()), "error");
+  EXPECT_EQ(session.report().reasons.at("oversized-frame"), 2u);
+  EXPECT_EQ(server.finish().lines, 3u);
+}
+
+TEST(ServeConnection, UnterminatedLastFrameIsAnsweredAtEof) {
+  Session session;
+  PipeServer server{session};
+  server.send(kHello);
+  server.send_raw(R"({"type":"report"})");  // no newline: EOF ends it
+  const ServeResult result = server.finish();
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  EXPECT_EQ(frames_of(server.read_reply()), 2);
+  EXPECT_EQ(result.lines, 2u);
+  EXPECT_FALSE(result.clean_bye);
+}
+
+TEST(ServeConnection, FramesAfterByeGoUnanswered) {
+  Session session;
+  PipeServer server{session};
+  server.send_raw(kHello + "\n" + R"({"type":"bye"})" + "\n" +
+                  R"({"type":"report"})" + "\n" + R"({"type":"report"})" +
+                  "\n");
+  const ServeResult result = server.finish();
+  EXPECT_TRUE(result.clean_bye);
+  EXPECT_EQ(result.lines, 2u);
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  EXPECT_EQ(type_of(server.read_reply()), "bye");
+  EXPECT_EQ(server.read_reply(), "");  // the reply pipe ends here
+  EXPECT_EQ(session.report().frames, 2u);
+}
+
+TEST(ServeConnection, DeadPeerEndsTheConnection) {
+  // A client that stops reading: the first failed write ends the loop,
+  // leaving the frames behind it unanswered. The daemon ignores
+  // SIGPIPE; so must this process, or the write would kill it.
+  const auto previous = std::signal(SIGPIPE, SIG_IGN);
+  Session session;
+  {
+    PipeServer server{session};
+    server.hang_up_reader();
+    server.send(kHello);
+    server.send(R"({"type":"report"})");
+    const ServeResult result = server.finish();
+    EXPECT_EQ(result.lines, 1u);
+    EXPECT_FALSE(result.clean_bye);
+  }
+  std::signal(SIGPIPE, previous);
+  EXPECT_EQ(session.report().frames, 1u);
+}
+
+TEST(ServeConnection, BackpressureBoundsTheInboundQueue) {
+  // Frames the daemon has not read stay in the pipe, so a flood costs
+  // it nothing. 256 frames are written before any reply is read; then
+  // a flood far larger than both pipe buffers, which can only finish
+  // if the loop keeps reading while the client reads. Every reply
+  // arrives, in order: a report counts the frames before it.
+  Session session;
+  PipeServer server{session};
+  server.send(kHello);
+  constexpr int kBacklog = 256;
+  std::thread backlog{[&] {
+    for (int i = 0; i < kBacklog; ++i) server.send(R"({"type":"report"})");
+  }};
+  backlog.join();
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  for (int i = 0; i < kBacklog; ++i)
+    ASSERT_EQ(frames_of(server.read_reply()), i + 2);
+  constexpr int kFlood = 10000;
+  std::thread flood{[&] {
+    for (int i = 0; i < kFlood; ++i) server.send(R"({"type":"report"})");
+  }};
+  for (int i = 0; i < kFlood; ++i)
+    EXPECT_EQ(frames_of(server.read_reply()), kBacklog + i + 2);
+  flood.join();
   server.send(R"({"type":"bye"})");
   EXPECT_EQ(type_of(server.read_reply()), "bye");
   EXPECT_TRUE(server.finish().clean_bye);

@@ -1,5 +1,6 @@
 #include "bfsim_lint/checks.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <map>
@@ -199,6 +200,20 @@ bool chrono_qualified(const std::vector<Token>& toks, std::size_t i) {
   return false;
 }
 
+/// True if `name`, used as a plain identifier at token `at`, is Time:
+/// declared so file-wide, or by a block-local declaration in scope at
+/// `at`.
+bool time_var_at(const SymbolTable& scope, const std::string& name,
+                 std::size_t at) {
+  if (scope.time_vars.contains(name)) return true;
+  const auto it = scope.block_time_vars.find(name);
+  return it != scope.block_time_vars.end() &&
+         std::any_of(it->second.begin(), it->second.end(),
+                     [at](const TokenRange& range) {
+                       return range.begin <= at && at < range.end;
+                     });
+}
+
 /// Resolve the operand ending immediately left of token `i`.
 Operand resolve_left(const std::vector<Token>& toks, const SymbolTable& scope,
                      std::size_t i) {
@@ -225,8 +240,16 @@ Operand resolve_left(const std::vector<Token>& toks, const SymbolTable& scope,
     return {};
   }
   if (is_punct(toks[k], "]")) return {};  // element type unknown
-  if (is_ident(toks[k]))
-    return {scope.time_vars.contains(toks[k].text), toks[k].text};
+  if (is_ident(toks[k])) {
+    // A member (`rec.start`) is never one of this file's block locals.
+    const bool member =
+        k > 0 && (is_punct(toks[k - 1], ".") || is_punct(toks[k - 1], "->") ||
+                  is_punct(toks[k - 1], "::"));
+    const std::string& name = toks[k].text;
+    return {member ? scope.time_vars.contains(name)
+                   : time_var_at(scope, name, k),
+            name};
+  }
   return {};
 }
 
@@ -243,6 +266,7 @@ Operand resolve_right(const std::vector<Token>& toks, const SymbolTable& scope,
   if (is_keyword(toks[j].text)) return {};
 
   std::string name = toks[j].text;
+  const std::size_t first = j;
   bool time = false;
   bool cast_time = false;
   bool chrono = chrono_qualifier(name);
@@ -254,6 +278,7 @@ Operand resolve_right(const std::vector<Token>& toks, const SymbolTable& scope,
     chrono = chrono || chrono_qualifier(name);
     j += 2;
   }
+  const bool qualified = j != first + 1;
   if (chrono) return {};  // time_point / duration, not sim::Time
   // Explicit template arguments: `static_cast<Time>` / `max<Time>`.
   if (j < toks.size() && is_punct(toks[j], "<") &&
@@ -279,7 +304,8 @@ Operand resolve_right(const std::vector<Token>& toks, const SymbolTable& scope,
     time = cast_time || returns_time(scope, name) || name == "Time";
     j = match_fwd(toks, j) + 1;
   } else {
-    time = scope.time_vars.contains(name);
+    time = qualified ? scope.time_vars.contains(name)
+                     : time_var_at(scope, name, first);
   }
   // Trailing member chain: `rec.start`, `job->estimate`, `f().value()`.
   while (j + 1 < toks.size() &&
@@ -425,7 +451,7 @@ void check_nondeterminism(const std::string& path, const LexedFile& file,
         call && std_or_global_qualified(toks, i)) {
       // `time(` must be the libc call, not a local named `time` being
       // constructed -- a Time-typed or project-declared name wins.
-      if (tok.text == "time" && (scope.time_vars.contains("time") ||
+      if (tok.text == "time" && (time_var_at(scope, "time", i) ||
                                  scope.time_funcs.contains("time")))
         continue;
       flag(tok, "'" + tok.text + "()' reads the wall clock");

@@ -200,6 +200,9 @@ std::vector<Finding> Driver::run() {
     // its `out += ...` is string building, not time arithmetic.
     for (const std::string& name : entry.own.other_vars)
       if (!entry.own.time_vars.contains(name)) scope.time_vars.erase(name);
+    // Block locals are scoped by token position, so only the file's own
+    // apply: a header's locals never reach its includers.
+    scope.block_time_vars = entry.own.block_time_vars;
     const std::string display =
         options_.files.empty() ? rel_under(options_.root, path)
                                : path.string();

@@ -1,5 +1,7 @@
 #include "bfsim_lint/symbols.hpp"
 
+#include <utility>
+
 namespace bfsim::lint {
 
 namespace {
@@ -33,13 +35,57 @@ std::size_t skip_angles(const std::vector<Token>& toks, std::size_t i) {
   return i;
 }
 
+/// True when the `{` at `open` begins a namespace, linkage, class or
+/// enum body, whose declarations are visible file-wide; false for a
+/// function body, a lambda body or any other block.
+bool opens_declaration_scope(const std::vector<Token>& toks,
+                             std::size_t open) {
+  for (std::size_t k = open; k-- > 0;) {
+    const Token& t = toks[k];
+    if (is_punct(t, ";") || is_punct(t, "{") || is_punct(t, "}") ||
+        is_punct(t, ")") || is_punct(t, "="))
+      return false;
+    if (is_ident(t, "namespace") || is_ident(t, "extern") ||
+        is_ident(t, "class") || is_ident(t, "struct") ||
+        is_ident(t, "union") || is_ident(t, "enum"))
+      return true;
+  }
+  return false;
+}
+
+/// For each `{`, the index of its matching `}` (toks.size() if none).
+std::vector<std::size_t> brace_closers(const std::vector<Token>& toks) {
+  std::vector<std::size_t> closer(toks.size(), toks.size());
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (is_punct(toks[i], "{")) {
+      open.push_back(i);
+    } else if (is_punct(toks[i], "}") && !open.empty()) {
+      closer[open.back()] = i;
+      open.pop_back();
+    }
+  }
+  return closer;
+}
+
 }  // namespace
 
 SymbolTable collect_symbols(const LexedFile& file) {
   SymbolTable out;
   const std::vector<Token>& toks = file.tokens;
+  const std::vector<std::size_t> closer = brace_closers(toks);
+  // Open braces, innermost last, and whether each opened a block.
+  std::vector<std::pair<std::size_t, bool>> braces;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& tok = toks[i];
+    if (is_punct(tok, "{")) {
+      braces.emplace_back(i, !opens_declaration_scope(toks, i));
+      continue;
+    }
+    if (is_punct(tok, "}") && !braces.empty()) {
+      braces.pop_back();
+      continue;
+    }
     if (tok.kind != TokenKind::kIdentifier) continue;
 
     // --- Time-typed declarations -----------------------------------
@@ -67,8 +113,13 @@ SymbolTable collect_symbols(const LexedFile& file) {
         out.time_funcs.insert(name);
       else if (is_punct(after, ";") || is_punct(after, "=") ||
                is_punct(after, ",") || is_punct(after, ")") ||
-               is_punct(after, "{") || is_punct(after, "["))
-        out.time_vars.insert(name);
+               is_punct(after, "{") || is_punct(after, "[")) {
+        if (!braces.empty() && braces.back().second)
+          out.block_time_vars[name].push_back(
+              {i, closer[braces.back().first]});
+        else
+          out.time_vars.insert(name);
+      }
       continue;
     }
 

@@ -10,21 +10,39 @@
 // check. A file's effective scope is the union of its own declarations
 // and those of every project header it transitively includes, so an
 // `int start` in an unrelated subsystem cannot demote `JobRecord::
-// start` -- and within one scope a name declared Time anywhere is
-// treated as Time (flag-leaning: a false positive is an annotation, a
-// false negative is a silent wrap).
+// start` -- and within one scope a name declared Time at file,
+// namespace or class level is treated as Time everywhere (flag-leaning:
+// a false positive is an annotation, a false negative is a silent
+// wrap). A Time local declared inside a function body or other block
+// is Time only from its declaration to the end of that block, so a
+// `Time start` in one function does not claim a `time_point start`
+// parameter of another.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "bfsim_lint/lexer.hpp"
 
 namespace bfsim::lint {
 
+/// Token indices [begin, end) of one file's token stream.
+struct TokenRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
 struct SymbolTable {
-  /// Names declared with type Time (variables, members, parameters).
+  /// Names declared with type Time at file, namespace or class level
+  /// (variables, members, parameters).
   std::unordered_set<std::string> time_vars;
+  /// Names declared with type Time inside a block, each with the token
+  /// ranges where such a declaration is in scope. The ranges index the
+  /// declaring file's tokens, so merge() does not carry them over.
+  std::unordered_map<std::string, std::vector<TokenRange>> block_time_vars;
   /// Names declared with some other `Type name`-shaped type. A file's
   /// own other-typed declarations demote same-named Time symbols leaked
   /// into scope by included headers (`std::string out` in a report
