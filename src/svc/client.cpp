@@ -3,6 +3,7 @@
 #include <cerrno>
 
 #include "core/priority.hpp"
+#include "svc/server.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -77,25 +78,21 @@ std::uint64_t reply_uint(const Json& frame, std::string_view key) {
 
 std::string FdChannel::roundtrip(const std::string& line) {
 #if defined(__unix__) || defined(__APPLE__)
-  const std::string out = line + '\n';
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const ssize_t wrote = ::write(out_fd_, out.data() + done,
-                                  out.size() - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw ChannelError("write failed: peer gone");
-    }
-    done += static_cast<std::size_t>(wrote);
-  }
+  if (!write_line(out_fd_, line)) throw ChannelError("write failed: peer gone");
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
-      std::string reply = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!reply.empty() && reply.back() == '\r') reply.pop_back();
+      std::size_t end = newline;
+      if (end > start_ && buffer_[end - 1] == '\r') --end;
+      std::string reply = buffer_.substr(start_, end - start_);
+      start_ = scanned_ = newline + 1;
+      if (start_ == buffer_.size()) {
+        buffer_.clear();
+        start_ = scanned_ = 0;
+      }
       return reply;
     }
+    scanned_ = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::read(in_fd_, chunk, sizeof chunk);
     if (got < 0) {
@@ -103,7 +100,14 @@ std::string FdChannel::roundtrip(const std::string& line) {
       throw ChannelError("read failed: peer gone");
     }
     if (got == 0) throw ChannelError("peer closed the connection");
-    buffer_.append(chunk, static_cast<std::size_t>(got));
+    const auto bytes = static_cast<std::size_t>(got);
+    // Drop the consumed prefix only when the buffer would have to grow.
+    if (start_ > 0 && buffer_.size() + bytes > buffer_.capacity()) {
+      buffer_.erase(0, start_);
+      scanned_ -= start_;
+      start_ = 0;
+    }
+    buffer_.append(chunk, bytes);
   }
 #else
   (void)line;
@@ -151,70 +155,81 @@ void RemoteDecisionCore::reconnect(LineChannel& channel) {
   inflight_.clear();
 }
 
+JsonWriter RemoteDecisionCore::next_event() {
+  if (!events_.empty()) events_ += ',';
+  return JsonWriter{events_};
+}
+
 void RemoteDecisionCore::on_submit(const core::Job& job, core::Time now) {
   (void)now;  // the batch instant ships once, on the frame
-  Json event = Json::object();
-  event.set("kind", Json::string("submit"));
-  event.set("id", Json::integer(static_cast<std::int64_t>(job.id)));
-  event.set("submit", Json::integer(job.submit));
-  event.set("estimate", Json::integer(job.estimate));
-  event.set("procs", Json::integer(job.procs));
-  event.set("bb", Json::integer(job.bb));
-  events_.push_back(std::move(event));
+  next_event()
+      .begin_object()
+      .key("kind").string("submit")
+      .key("id").integer(static_cast<std::int64_t>(job.id))
+      .key("submit").integer(job.submit)
+      .key("estimate").integer(job.estimate)
+      .key("procs").integer(job.procs)
+      .key("bb").integer(job.bb)
+      .end_object();
 }
 
 void RemoteDecisionCore::on_finish(workload::JobId id, core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("finish"));
-  event.set("id", Json::integer(static_cast<std::int64_t>(id)));
-  events_.push_back(std::move(event));
+  next_event()
+      .begin_object()
+      .key("kind").string("finish")
+      .key("id").integer(static_cast<std::int64_t>(id))
+      .end_object();
 }
 
 void RemoteDecisionCore::on_cancel(workload::JobId id, core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("cancel"));
-  event.set("id", Json::integer(static_cast<std::int64_t>(id)));
-  events_.push_back(std::move(event));
+  next_event()
+      .begin_object()
+      .key("kind").string("cancel")
+      .key("id").integer(static_cast<std::int64_t>(id))
+      .end_object();
 }
 
 void RemoteDecisionCore::on_wake(core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("wake"));
-  events_.push_back(std::move(event));
+  next_event().begin_object().key("kind").string("wake").end_object();
 }
 
 void RemoteDecisionCore::on_node_down(const sim::Outage& outage,
                                       core::Time now) {
   (void)now;  // down_at is implied by the batch instant
-  Json event = Json::object();
-  event.set("kind", Json::string("down"));
-  event.set("outage", Json::integer(static_cast<std::int64_t>(outage.id)));
-  event.set("repair", Json::integer(outage.repair_at));
-  event.set("procs", Json::integer(outage.procs));
-  event.set("bb", Json::integer(outage.bb));
-  events_.push_back(std::move(event));
+  next_event()
+      .begin_object()
+      .key("kind").string("down")
+      .key("outage").integer(static_cast<std::int64_t>(outage.id))
+      .key("repair").integer(outage.repair_at)
+      .key("procs").integer(outage.procs)
+      .key("bb").integer(outage.bb)
+      .end_object();
 }
 
 void RemoteDecisionCore::on_node_up(sim::OutageId id, core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("up"));
-  event.set("outage", Json::integer(static_cast<std::int64_t>(id)));
-  events_.push_back(std::move(event));
+  next_event()
+      .begin_object()
+      .key("kind").string("up")
+      .key("outage").integer(static_cast<std::int64_t>(id))
+      .end_object();
 }
 
 core::CycleDecision RemoteDecisionCore::end_cycle(core::Time now) {
   const std::uint64_t seq = acked_seq_ + 1;
-  Json frame = Json::object();
-  frame.set("type", Json::string("events"));
-  frame.set("seq", Json::integer(static_cast<std::int64_t>(seq)));
-  frame.set("now", Json::integer(now));
-  frame.set("events", std::move(events_));
-  events_ = Json::array();
-  inflight_ = frame.dump();
+  inflight_.clear();
+  JsonWriter frame{inflight_};
+  frame.begin_object()
+      .key("type").string("events")
+      .key("seq").integer(static_cast<std::int64_t>(seq))
+      .key("now").integer(now)
+      .key("events").begin_array();
+  inflight_ += events_;  // the batch's events, written by the hooks
+  frame.end_array().end_object();
+  events_.clear();
   std::string reply;
   try {
     reply = channel_->roundtrip(inflight_);

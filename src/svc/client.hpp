@@ -1,8 +1,9 @@
 // bfsim -- the client side of the scheduling service.
 //
 // RemoteDecisionCore models the core::DecisionCore API over a line
-// channel: events buffer locally and ship as one `events` frame when
-// the batch closes, the `decisions` reply becomes the CycleDecision.
+// channel: events are written locally as they arrive (JSON text, no
+// tree) and ship as one `events` frame when the batch closes, the
+// `decisions` reply becomes the CycleDecision.
 // Plugged into core::EngineReplay it turns any SWF trace into a live
 // conversation with a bfsim_served daemon -- the replay client owns
 // the true runtimes and the discrete-event clock, the daemon owns the
@@ -66,7 +67,10 @@ class LocalChannel final : public LineChannel {
 };
 
 /// Channel over a descriptor pair (socket: pass the same fd twice).
-/// Owns nothing; the caller manages the descriptors' lifetime.
+/// Owns nothing; the caller manages the descriptors' lifetime. Each
+/// frame and its newline go out in one writev(2); replies are cut from
+/// one read buffer consumed through an offset, which is compacted only
+/// when the buffer would otherwise grow.
 class FdChannel final : public LineChannel {
  public:
   FdChannel(int in_fd, int out_fd) : in_fd_(in_fd), out_fd_(out_fd) {}
@@ -75,7 +79,9 @@ class FdChannel final : public LineChannel {
  private:
   int in_fd_;
   int out_fd_;
-  std::string buffer_;  ///< bytes read past the last reply line
+  std::string buffer_;       ///< bytes read and not yet returned...
+  std::size_t start_ = 0;    ///< ...from here on
+  std::size_t scanned_ = 0;  ///< no newline in [start_, scanned_)
 };
 
 /// core::DecisionCore's API, implemented by asking a daemon.
@@ -112,11 +118,13 @@ class RemoteDecisionCore {
 
  private:
   void handshake();
+  /// A writer for one more event of the batch under construction.
+  JsonWriter next_event();
 
   LineChannel* channel_;
   HelloRequest hello_;
   std::string scheduler_name_;
-  Json events_ = Json::array();   ///< batch under construction
+  std::string events_;           ///< the batch's events, comma-joined
   std::uint64_t acked_seq_ = 0;   ///< frames with a received reply
   std::string inflight_;          ///< sent frame awaiting its reply
   std::vector<workload::JobId> start_storage_;

@@ -1,11 +1,9 @@
 #include "svc/json.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace bfsim::svc {
 
@@ -76,12 +74,256 @@ bool operator==(const Json& a, const Json& b) {
   return false;
 }
 
+// --- JsonReader ---------------------------------------------------------
+
+void JsonReader::fail(const char* what) const { throw JsonError(what, pos_); }
+
+void JsonReader::fail_expected(char c) const {
+  throw JsonError(std::string("expected '") + c + "'", pos_);
+}
+
+JsonReader::Number JsonReader::read_number() {
+  const auto digits = [this] {
+    while (pos_ < text_.size() && digit(text_[pos_])) ++pos_;
+  };
+  const std::size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  digits();
+  if (pos_ == start || (text_[start] == '-' && pos_ == start + 1))
+    fail("invalid number");
+  Number number;
+  number.integral = true;
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    number.integral = false;
+    const std::size_t frac = ++pos_;
+    digits();
+    if (pos_ == frac) fail("invalid number: empty fraction");
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    number.integral = false;
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+      ++pos_;
+    const std::size_t exp = pos_;
+    digits();
+    if (pos_ == exp) fail("invalid number: empty exponent");
+  }
+  const std::string_view token = text_.substr(start, pos_ - start);
+  if (number.integral) {
+    const auto [end, error] = std::from_chars(
+        token.data(), token.data() + token.size(), number.int_value);
+    if (error == std::errc{} && end == token.data() + token.size())
+      return number;
+    // Magnitude beyond int64: fall through to double semantics.
+    number.integral = false;
+  }
+  // strtod wants a terminated string; the document is a view.
+  const std::string terminated{token};
+  char* end = nullptr;
+  number.double_value = std::strtod(terminated.c_str(), &end);
+  if (end != terminated.c_str() + terminated.size()) fail("invalid number");
+  if (!std::isfinite(number.double_value)) fail("number is not finite");
+  return number;
+}
+
+unsigned JsonReader::read_hex4() {
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  unsigned value = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const char c = text_[pos_ + i];
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
+    else fail("bad hex digit in \\u escape");
+  }
+  pos_ += 4;
+  return value;
+}
+
 namespace {
 
-void dump_string(const std::string& text, std::string& out) {
+void append_utf8(unsigned long code, std::string& out) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xE0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+}  // namespace
+
+[[gnu::cold]] std::string_view JsonReader::read_escaped(std::size_t start) {
+  // read_string stopped short of the closing quote: the string holds
+  // an escape (or is malformed). Unescape it from the start.
+  scratch_.assign(text_.substr(start, pos_ - start));
+  while (true) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_];
+    if (c == '"') {
+      ++pos_;
+      return scratch_;
+    }
+    if (static_cast<unsigned char>(c) < 0x20)
+      fail("unescaped control character in string");
+    if (c != '\\') {
+      scratch_ += c;
+      ++pos_;
+      continue;
+    }
+    ++pos_;
+    if (pos_ >= text_.size()) fail("truncated escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'u': {
+        const unsigned hi = read_hex4();
+        if (hi >= 0xD800 && hi <= 0xDBFF) {  // high surrogate: need pair
+          if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
+              text_[pos_ + 1] == 'u') {
+            pos_ += 2;
+            const unsigned lo = read_hex4();
+            if (lo < 0xDC00 || lo > 0xDFFF)
+              fail("invalid low surrogate in \\u pair");
+            const unsigned long code =
+                0x10000UL + ((static_cast<unsigned long>(hi) - 0xD800UL)
+                             << 10) + (lo - 0xDC00UL);
+            append_utf8(code, scratch_);
+          } else {
+            fail("lone high surrogate in string");
+          }
+        } else if (hi >= 0xDC00 && hi <= 0xDFFF) {
+          fail("lone low surrogate in string");
+        } else {
+          append_utf8(hi, scratch_);
+        }
+        break;
+      }
+      default: fail("unknown escape character");
+    }
+  }
+}
+
+std::size_t JsonReader::skip(Token token, std::size_t depth) {
+  std::size_t count = 0;
+  switch (token) {
+    case Token::kNull: read_null(); break;
+    case Token::kBool: (void)read_bool(); break;
+    case Token::kNumber: (void)read_number(); break;
+    case Token::kString: (void)read_string(); break;
+    case Token::kArray:
+      if (enter_array()) do {
+          (void)skip_value(depth + 1);
+          ++count;
+        } while (more_elements());
+      break;
+    case Token::kObject:
+      if (enter_object()) do {
+          (void)read_key();
+          (void)skip_value(depth + 1);
+          ++count;
+        } while (more_members());
+      break;
+  }
+  return count;
+}
+
+// --- JsonWriter ---------------------------------------------------------
+
+void JsonWriter::separate() {
+  if (comma_) *out_ += ',';
+  comma_ = true;
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  separate();
+  *out_ += '{';
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  *out_ += '}';
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  separate();
+  *out_ += '[';
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  *out_ += ']';
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  string(name);
+  *out_ += ':';
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  separate();
+  *out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  separate();
+  *out_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::integer(std::int64_t value) {
+  separate();
+  char buffer[24];
+  out_->append(buffer,
+               std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  separate();
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  *out_ += buffer;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  separate();
+  std::string& out = *out_;
   out += '"';
-  for (const char c : text) {
-    const auto byte = static_cast<unsigned char>(c);
+  for (std::size_t i = 0; i < value.size();) {
+    // Copy the run that needs no escape in one append.
+    std::size_t run = i;
+    while (run < value.size() && JsonReader::plain(value[run])) ++run;
+    out.append(value.substr(i, run - i));
+    if (run == value.size()) break;
+    const char c = value[run];
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -90,336 +332,98 @@ void dump_string(const std::string& text, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (byte < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", byte);
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                      static_cast<unsigned char>(c));
+        out += buffer;
+      }
     }
+    i = run + 1;
   }
   out += '"';
+  return *this;
 }
 
-void dump_value(const Json& value, std::string& out) {
+// --- Json over the reader and the writer --------------------------------
+//
+// The tree serves the cold frames (hello/welcome, stats, report, error,
+// bye) and the tests, so its walks are compiled for size.
+
+namespace {
+
+[[gnu::cold]] void write_value(const Json& value, JsonWriter& out) {
   switch (value.kind()) {
-    case Json::Kind::kNull: out += "null"; break;
-    case Json::Kind::kBool: out += value.as_bool() ? "true" : "false"; break;
-    case Json::Kind::kInt: out += std::to_string(value.as_int()); break;
-    case Json::Kind::kDouble: {
-      char buffer[32];
-      std::snprintf(buffer, sizeof buffer, "%.17g", value.as_double());
-      out += buffer;
+    case Json::Kind::kNull: out.null(); break;
+    case Json::Kind::kBool: out.boolean(value.as_bool()); break;
+    case Json::Kind::kInt: out.integer(value.as_int()); break;
+    case Json::Kind::kDouble: out.number(value.as_double()); break;
+    case Json::Kind::kString: out.string(value.as_string()); break;
+    case Json::Kind::kArray:
+      out.begin_array();
+      for (const Json& item : value.as_array()) write_value(item, out);
+      out.end_array();
       break;
-    }
-    case Json::Kind::kString: dump_string(value.as_string(), out); break;
-    case Json::Kind::kArray: {
-      out += '[';
-      const Json::Array& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out += ',';
-        dump_value(items[i], out);
+    case Json::Kind::kObject:
+      out.begin_object();
+      for (const auto& [name, member] : value.as_object()) {
+        out.key(name);
+        write_value(member, out);
       }
-      out += ']';
+      out.end_object();
       break;
-    }
-    case Json::Kind::kObject: {
-      out += '{';
-      const Json::Object& members = value.as_object();
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (i > 0) out += ',';
-        dump_string(members[i].first, out);
-        out += ':';
-        dump_value(members[i].second, out);
-      }
-      out += '}';
-      break;
-    }
   }
 }
 
-/// Recursive-descent parser. Recursion depth is bounded by
-/// JsonLimits::max_depth, so hostile deeply-nested input cannot blow
-/// the stack; every other resource is bounded by max_members and the
-/// input length itself (the service already caps frame bytes).
-class Parser {
- public:
-  Parser(std::string_view text, const JsonLimits& limits)
-      : text_(text), limits_(limits) {}
-
-  Json parse() {
-    Json value = parse_value(0);
-    skip_space();
-    if (pos_ != text_.size())
-      throw JsonError("trailing bytes after JSON document", pos_);
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw JsonError(what, pos_);
-  }
-
-  void skip_space() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
+/// Recursion depth is bounded by JsonLimits::max_depth (begin_value
+/// refuses deeper values), so hostile deeply-nested input cannot blow
+/// the stack.
+[[gnu::cold]] Json read_value(JsonReader& reader, std::size_t depth) {
+  switch (reader.begin_value(depth)) {
+    case JsonReader::Token::kNull:
+      reader.read_null();
+      return Json::null();
+    case JsonReader::Token::kBool: return Json::boolean(reader.read_bool());
+    case JsonReader::Token::kNumber: {
+      const JsonReader::Number number = reader.read_number();
+      return number.integral ? Json::integer(number.int_value)
+                             : Json::number(number.double_value);
     }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  void count_member() {
-    if (++members_ > limits_.max_members)
-      fail("document exceeds member limit");
-  }
-
-  Json parse_value(std::size_t depth) {
-    if (depth > limits_.max_depth) fail("nesting exceeds depth limit");
-    skip_space();
-    count_member();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return Json::string(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json::boolean(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json::boolean(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json::null();
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object(std::size_t depth) {
-    expect('{');
-    Json object = Json::object();
-    skip_space();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return object;
-    }
-    while (true) {
-      skip_space();
-      if (peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
-      skip_space();
-      expect(':');
-      object.set(std::move(key), parse_value(depth + 1));
-      skip_space();
-      const char next = peek();
-      if (next == ',') {
-        ++pos_;
-        continue;
-      }
-      if (next == '}') {
-        ++pos_;
-        return object;
-      }
-      fail("expected ',' or '}' in object");
-    }
-  }
-
-  Json parse_array(std::size_t depth) {
-    expect('[');
-    Json array = Json::array();
-    skip_space();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
+    case JsonReader::Token::kString:
+      return Json::string(std::string(reader.read_string()));
+    case JsonReader::Token::kArray: {
+      Json array = Json::array();
+      if (reader.enter_array()) do {
+          array.push_back(read_value(reader, depth + 1));
+        } while (reader.more_elements());
       return array;
     }
-    while (true) {
-      array.push_back(parse_value(depth + 1));
-      skip_space();
-      const char next = peek();
-      if (next == ',') {
-        ++pos_;
-        continue;
-      }
-      if (next == ']') {
-        ++pos_;
-        return array;
-      }
-      fail("expected ',' or ']' in array");
+    case JsonReader::Token::kObject: {
+      Json object = Json::object();
+      if (reader.enter_object()) do {
+          std::string key{reader.read_key()};
+          object.set(std::move(key), read_value(reader, depth + 1));
+        } while (reader.more_members());
+      return object;
     }
   }
-
-  unsigned parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + static_cast<std::size_t>(i)];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("bad hex digit in \\u escape");
-    }
-    pos_ += 4;
-    return value;
-  }
-
-  void append_utf8(unsigned long code, std::string& out) {
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return out;
-      }
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
-      }
-      ++pos_;
-      if (pos_ >= text_.size()) fail("truncated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          const unsigned hi = parse_hex4();
-          if (hi >= 0xD800 && hi <= 0xDBFF) {  // high surrogate: need pair
-            if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
-                text_[pos_ + 1] == 'u') {
-              pos_ += 2;
-              const unsigned lo = parse_hex4();
-              if (lo < 0xDC00 || lo > 0xDFFF)
-                fail("invalid low surrogate in \\u pair");
-              const unsigned long code =
-                  0x10000UL + ((static_cast<unsigned long>(hi) - 0xD800UL)
-                               << 10) + (lo - 0xDC00UL);
-              append_utf8(code, out);
-            } else {
-              fail("lone high surrogate in string");
-            }
-          } else if (hi >= 0xDC00 && hi <= 0xDFFF) {
-            fail("lone low surrogate in string");
-          } else {
-            append_utf8(hi, out);
-          }
-          break;
-        }
-        default: fail("unknown escape character");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    if (pos_ == start || (text_[start] == '-' && pos_ == start + 1))
-      fail("invalid number");
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      const std::size_t frac = pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-      if (pos_ == frac) fail("invalid number: empty fraction");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      const std::size_t exp = pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-      if (pos_ == exp) fail("invalid number: empty exponent");
-    }
-    const std::string token{text_.substr(start, pos_ - start)};
-    if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long value = std::strtoll(token.c_str(), &end, 10);
-      if (errno != ERANGE && end == token.c_str() + token.size())
-        return Json::integer(value);
-      // Magnitude beyond int64: fall through to double semantics.
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("invalid number");
-    if (!std::isfinite(value)) fail("number is not finite");
-    return Json::number(value);
-  }
-
-  std::string_view text_;
-  JsonLimits limits_;
-  std::size_t pos_ = 0;
-  std::size_t members_ = 0;
-};
+  return Json::null();
+}
 
 }  // namespace
 
 std::string Json::dump() const {
   std::string out;
-  dump_value(*this, out);
+  JsonWriter writer{out};
+  write_value(*this, writer);
   return out;
 }
 
 Json parse_json(std::string_view text, const JsonLimits& limits) {
-  Parser parser{text, limits};
-  return parser.parse();
+  JsonReader reader{text, limits};
+  Json value = read_value(reader, 0);
+  reader.finish();
+  return value;
 }
 
 }  // namespace bfsim::svc

@@ -1,6 +1,11 @@
 #include "svc/protocol.hpp"
 
+#include <array>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <span>
+#include <stdexcept>
 
 #include "core/priority.hpp"
 #include "sim/time.hpp"
@@ -10,79 +15,240 @@ namespace bfsim::svc {
 
 namespace {
 
+using Token = JsonReader::Token;
+
 [[noreturn]] void reject(const char* reason, const std::string& detail) {
   throw ProtocolError(reason, detail);
 }
 
-/// Required object member, or "missing-field".
-const Json& need(const Json& object, std::string_view key) {
-  const Json* value = object.find(key);
-  if (value == nullptr)
+/// One member's value, read once by the walk that checks the frame.
+struct Value {
+  bool present = false;
+  Token token = Token::kNull;
+  bool flag = false;          ///< kBool
+  JsonReader::Number number;  ///< kNumber
+  std::string_view text;      ///< kString
+  std::size_t at = 0;         ///< kArray, kObject: where the value starts
+  std::size_t entries = 0;    ///< kArray, kObject: elements or members
+};
+
+/// The members of one object that the protocol reads. Each holds the
+/// value of its key's first occurrence, as Json::find has it; keys
+/// compare after unescaping; other members are checked and skipped.
+class Fields {
+ public:
+  static constexpr std::size_t kMaxNames = 15;
+
+  Fields(std::span<const std::string_view> names, std::string_view document)
+      : names_(names), document_(document) {}
+
+  /// Walk the object `reader` has just classified at `depth`, checking
+  /// all of it.
+  void scan(JsonReader& reader, std::size_t depth) {
+    for (std::size_t k = 0; k < names_.size(); ++k)
+      values_[k].present = false;
+    escaped_.clear();
+    if (!reader.enter_object()) return;
+    do {
+      const std::size_t k = index(reader.read_key());
+      if (k == names_.size() || values_[k].present) {
+        (void)reader.skip_value(depth + 1);
+        continue;
+      }
+      Value& value = values_[k];
+      value.present = true;
+      value.at = reader.offset();
+      value.token = reader.begin_value(depth + 1);
+      switch (value.token) {
+        case Token::kNull: reader.read_null(); break;
+        case Token::kBool: value.flag = reader.read_bool(); break;
+        case Token::kNumber: value.number = reader.read_number(); break;
+        case Token::kString: value.text = keep(reader.read_string()); break;
+        case Token::kArray:
+        case Token::kObject:
+          value.entries = reader.skip(value.token, depth + 1);
+          break;
+      }
+    } while (reader.more_members());
+  }
+
+  /// `key`'s value; not present() when the object lacks it. `key` must
+  /// be one of the names: any other is a bug, and throws logic_error.
+  [[nodiscard]] const Value& operator[](std::string_view key) const {
+    const std::size_t k = index(key);
+    if (k == names_.size())
+      throw std::logic_error("protocol field not in its table: " +
+                             std::string(key));
+    return values_[k];
+  }
+
+ private:
+  [[nodiscard]] std::size_t index(std::string_view key) const {
+    std::size_t k = 0;
+    // Names are never empty, so equal sizes make [0] valid.
+    while (k < names_.size() &&
+           (names_[k].size() != key.size() || names_[k][0] != key[0] ||
+            names_[k] != key))
+      ++k;
+    return k;
+  }
+
+  /// A string that outlives the reader's next string: the document
+  /// itself, or (unescaped) a copy. Unescaping never lengthens text,
+  /// so one document's worth of room means the copies never move.
+  std::string_view keep(std::string_view text) {
+    const std::less<const char*> before;
+    if (!before(text.data(), document_.data()) &&
+        before(text.data(), document_.data() + document_.size()))
+      return text;
+    if (escaped_.capacity() < document_.size())
+      escaped_.reserve(document_.size());
+    const std::size_t start = escaped_.size();
+    escaped_ += text;
+    return std::string_view{escaped_}.substr(start);
+  }
+
+  std::span<const std::string_view> names_;
+  std::string_view document_;
+  std::array<Value, kMaxNames> values_;
+  std::string escaped_;
+};
+
+// The members each object has, the hot frames' first: lookups scan
+// these in order.
+constexpr std::string_view kRequestNames[] = {
+    "type", "seq", "now", "events", "v", "scheduler", "procs",
+    "burst_buffer", "priority", "audit", "reservation_depth",
+    "xfactor_threshold", "selective_adaptive", "slack_factor", "requeue",
+};
+constexpr std::string_view kEventNames[] = {
+    "kind", "id", "submit", "estimate", "procs", "bb", "outage", "repair",
+};
+constexpr std::string_view kReplyNames[] = {
+    "type", "seq", "pass", "starts", "next_wakeup", "killed", "reason",
+    "detail",
+};
+static_assert(std::size(kRequestNames) <= Fields::kMaxNames &&
+              std::size(kEventNames) <= Fields::kMaxNames &&
+              std::size(kReplyNames) <= Fields::kMaxNames);
+
+/// Check the whole document and read its top-level object's members.
+/// Every JSON error is "bad-json", raised here before any field check;
+/// a document that is not an object is "not-object". The field checks
+/// then run in the protocol's fixed order, whatever the member order.
+void scan_frame(std::string_view line, Fields& frame, const char* what) {
+  bool object = false;
+  try {
+    JsonReader reader{line};
+    const Token token = reader.begin_value(0);
+    object = token == Token::kObject;
+    if (object)
+      frame.scan(reader, 0);
+    else
+      (void)reader.skip(token, 0);
+    reader.finish();
+  } catch (const JsonError& error) {
+    reject("bad-json", error.what());
+  }
+  if (!object)
+    reject("not-object", std::string(what) + " must be a JSON object");
+}
+
+/// A reader over a document scan_frame has checked, for walking its
+/// arrays: it can meet no JSON error, so it enforces no limits.
+JsonReader checked_reader(std::string_view line, const Value& array) {
+  JsonReader reader{line, {std::numeric_limits<std::size_t>::max(),
+                           std::numeric_limits<std::size_t>::max()}};
+  reader.seek(array.at);
+  (void)reader.begin_value(0);
+  return reader;
+}
+
+const Value& need(const Fields& object, std::string_view key) {
+  const Value& value = object[key];
+  if (!value.present)
     reject("missing-field", "frame is missing required field '" +
                                 std::string(key) + "'");
-  return *value;
+  return value;
+}
+
+bool is_int(const Value& value) {
+  return value.token == Token::kNumber && value.number.integral;
 }
 
 /// Integral field (JSON integer only -- 1.5 ids or 1e3 times are
 /// rejected rather than rounded).
-std::int64_t need_int(const Json& object, std::string_view key) {
-  const Json& value = need(object, key);
-  if (!value.is_int())
+std::int64_t need_int(const Fields& object, std::string_view key) {
+  const Value& value = need(object, key);
+  if (!is_int(value))
     reject("bad-type", "field '" + std::string(key) + "' must be an integer");
-  return value.as_int();
+  return value.number.int_value;
 }
 
-const std::string& need_string(const Json& object, std::string_view key) {
-  const Json& value = need(object, key);
-  if (!value.is_string())
+std::string_view need_string(const Fields& object, std::string_view key) {
+  const Value& value = need(object, key);
+  if (value.token != Token::kString)
     reject("bad-type", "field '" + std::string(key) + "' must be a string");
-  return value.as_string();
+  return value.text;
 }
 
-bool optional_bool(const Json& object, std::string_view key, bool fallback) {
-  const Json* value = object.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_bool())
+std::optional<std::string_view> optional_string(const Fields& object,
+                                                std::string_view key) {
+  if (!object[key].present) return std::nullopt;
+  return need_string(object, key);
+}
+
+bool optional_bool(const Fields& object, std::string_view key,
+                   bool fallback) {
+  const Value& value = object[key];
+  if (!value.present) return fallback;
+  if (value.token != Token::kBool)
     reject("bad-type", "field '" + std::string(key) + "' must be a boolean");
-  return value->as_bool();
+  return value.flag;
 }
 
-std::int64_t optional_int(const Json& object, std::string_view key,
+std::int64_t optional_int(const Fields& object, std::string_view key,
                           std::int64_t fallback) {
-  const Json* value = object.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_int())
-    reject("bad-type", "field '" + std::string(key) + "' must be an integer");
-  return value->as_int();
+  if (!object[key].present) return fallback;
+  return need_int(object, key);
 }
 
-double optional_number(const Json& object, std::string_view key,
+double optional_number(const Fields& object, std::string_view key,
                        double fallback) {
-  const Json* value = object.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_number())
+  const Value& value = object[key];
+  if (!value.present) return fallback;
+  if (value.token != Token::kNumber)
     reject("bad-type", "field '" + std::string(key) + "' must be a number");
-  return value->as_double();
+  return value.number.integral ? static_cast<double>(value.number.int_value)
+                               : value.number.double_value;
 }
 
 /// A wire time: non-negative, bounded by the same hostility cap the SWF
 /// reader applies (kDefaultMaxSwfTime), so no arithmetic downstream can
 /// overflow even for adversarial inputs.
-core::Time need_time(const Json& object, std::string_view key) {
+core::Time need_time(const Fields& object, std::string_view key) {
   const std::int64_t raw = need_int(object, key);
   if (raw < 0 || raw > workload::kDefaultMaxSwfTime)
     reject("bad-value", "field '" + std::string(key) + "' is out of range");
   return raw;
 }
 
-workload::JobId need_job_id(const Json& object, std::string_view key) {
+workload::JobId need_job_id(const Fields& object, std::string_view key) {
   const std::int64_t raw = need_int(object, key);
   if (raw < 0 || raw >= static_cast<std::int64_t>(workload::kInvalidJob))
     reject("bad-value", "field '" + std::string(key) + "' is not a job id");
   return static_cast<workload::JobId>(raw);
 }
 
-HelloRequest parse_hello(const Json& frame) {
+sim::OutageId need_outage_id(const Fields& object, std::string_view key) {
+  const std::int64_t raw = need_int(object, key);
+  if (raw < 0 || raw >= static_cast<std::int64_t>(core::kMaxTrackedOutages))
+    reject("bad-value",
+           "field '" + std::string(key) + "' is not an outage id");
+  return static_cast<sim::OutageId>(raw);
+}
+
+HelloRequest parse_hello(const Fields& frame) {
   HelloRequest hello;
   hello.version = need_int(frame, "v");
   if (hello.version != kProtocolVersion)
@@ -90,7 +256,8 @@ HelloRequest parse_hello(const Json& frame) {
                               " is not supported (this build speaks " +
                               std::to_string(kProtocolVersion) + ")");
   try {
-    hello.kind = core::scheduler_kind_from_string(need_string(frame, "scheduler"));
+    hello.kind = core::scheduler_kind_from_string(
+        std::string(need_string(frame, "scheduler")));
   } catch (const std::invalid_argument& error) {
     reject("bad-value", error.what());
   }
@@ -102,11 +269,10 @@ HelloRequest parse_hello(const Json& frame) {
   if (bb < 0 || bb > std::numeric_limits<int>::max())
     reject("bad-value", "'burst_buffer' must be a non-negative capacity");
   hello.config.burst_buffer = static_cast<int>(bb);
-  if (const Json* priority = frame.find("priority")) {
-    if (!priority->is_string())
-      reject("bad-type", "field 'priority' must be a string");
+  if (const auto priority = optional_string(frame, "priority")) {
     try {
-      hello.config.priority = core::priority_from_string(priority->as_string());
+      hello.config.priority =
+          core::priority_from_string(std::string(*priority));
     } catch (const std::invalid_argument& error) {
       reject("bad-value", error.what());
     }
@@ -125,11 +291,9 @@ HelloRequest parse_hello(const Json& frame) {
       optional_number(frame, "slack_factor", hello.extras.slack_factor);
   if (hello.extras.xfactor_threshold < 0 || hello.extras.slack_factor < 0)
     reject("bad-value", "policy thresholds must be non-negative");
-  if (const Json* requeue = frame.find("requeue")) {
-    if (!requeue->is_string())
-      reject("bad-type", "field 'requeue' must be a string");
+  if (const auto requeue = optional_string(frame, "requeue")) {
     try {
-      hello.requeue = sim::requeue_policy_from_string(requeue->as_string());
+      hello.requeue = sim::requeue_policy_from_string(std::string(*requeue));
     } catch (const std::invalid_argument& error) {
       reject("bad-value", error.what());
     }
@@ -137,18 +301,8 @@ HelloRequest parse_hello(const Json& frame) {
   return hello;
 }
 
-sim::OutageId need_outage_id(const Json& object, std::string_view key) {
-  const std::int64_t raw = need_int(object, key);
-  if (raw < 0 ||
-      raw >= static_cast<std::int64_t>(core::kMaxTrackedOutages))
-    reject("bad-value",
-           "field '" + std::string(key) + "' is not an outage id");
-  return static_cast<sim::OutageId>(raw);
-}
-
-Event parse_event(const Json& entry) {
-  if (!entry.is_object()) reject("bad-type", "each event must be an object");
-  const std::string& kind = need_string(entry, "kind");
+Event parse_event(const Fields& entry) {
+  const std::string_view kind = need_string(entry, "kind");
   Event event;
   if (kind == "finish") {
     event.kind = EventKind::kFinish;
@@ -195,28 +349,52 @@ Event parse_event(const Json& entry) {
     event.kind = EventKind::kRepair;
     event.outage.id = need_outage_id(entry, "outage");
   } else {
-    reject("bad-value", "unknown event kind '" + kind + "'");
+    reject("bad-value", "unknown event kind '" + std::string(kind) + "'");
   }
   return event;
 }
 
-EventBatch parse_events(const Json& frame) {
-  EventBatch batch;
+void parse_events(std::string_view line, const Fields& frame,
+                  EventBatch& batch) {
   const std::int64_t seq = need_int(frame, "seq");
   if (seq < 1) reject("bad-value", "'seq' must be >= 1");
   batch.seq = static_cast<std::uint64_t>(seq);
   batch.now = need_time(frame, "now");
-  const Json& events = need(frame, "events");
-  if (!events.is_array())
+  const Value& events = need(frame, "events");
+  if (events.token != Token::kArray)
     reject("bad-type", "field 'events' must be an array");
-  if (events.as_array().size() > kMaxBatchEvents)
+  if (events.entries > kMaxBatchEvents)
     reject("oversized-frame",
            "batch carries more than " + std::to_string(kMaxBatchEvents) +
                " events");
-  batch.events.reserve(events.as_array().size());
-  for (const Json& entry : events.as_array())
-    batch.events.push_back(parse_event(entry));
-  return batch;
+  batch.events.reserve(events.entries);
+  JsonReader reader = checked_reader(line, events);
+  Fields entry{kEventNames, line};
+  if (reader.enter_array()) do {
+      if (reader.begin_value(1) != Token::kObject)
+        reject("bad-type", "each event must be an object");
+      entry.scan(reader, 1);
+      batch.events.push_back(parse_event(entry));
+    } while (reader.more_elements());
+}
+
+/// A reply's "starts" or "killed" array, appended to `ids`; `what`
+/// names its entries in the details.
+void read_job_ids(std::string_view line, const Value& array, const char* what,
+                  std::vector<workload::JobId>& ids) {
+  JsonReader reader = checked_reader(line, array);
+  if (!reader.enter_array()) return;
+  do {
+    if (reader.begin_value(1) != Token::kNumber)
+      reject("bad-type", std::string(what) + " ids must be integers");
+    const JsonReader::Number id = reader.read_number();
+    if (!id.integral)
+      reject("bad-type", std::string(what) + " ids must be integers");
+    if (id.int_value < 0 ||
+        id.int_value >= static_cast<std::int64_t>(workload::kInvalidJob))
+      reject("bad-value", std::string(what) + " id out of range");
+    ids.push_back(static_cast<workload::JobId>(id.int_value));
+  } while (reader.more_elements());
 }
 
 }  // namespace
@@ -237,21 +415,16 @@ Request parse_request(std::string_view line) {
   if (line.size() > kMaxFrameBytes)
     reject("oversized-frame", "frame exceeds " +
                                   std::to_string(kMaxFrameBytes) + " bytes");
-  Json frame;
-  try {
-    frame = parse_json(line);
-  } catch (const JsonError& error) {
-    reject("bad-json", error.what());
-  }
-  if (!frame.is_object()) reject("not-object", "frame must be a JSON object");
-  const std::string& type = need_string(frame, "type");
+  Fields frame{kRequestNames, line};
+  scan_frame(line, frame, "frame");
+  const std::string_view type = need_string(frame, "type");
   Request request;
   if (type == "hello") {
     request.type = Request::Type::kHello;
     request.hello = parse_hello(frame);
   } else if (type == "events") {
     request.type = Request::Type::kEvents;
-    request.batch = parse_events(frame);
+    parse_events(line, frame, request.batch);
   } else if (type == "stats") {
     request.type = Request::Type::kStats;
   } else if (type == "report") {
@@ -259,7 +432,7 @@ Request parse_request(std::string_view line) {
   } else if (type == "bye") {
     request.type = Request::Type::kBye;
   } else {
-    reject("unknown-type", "unknown frame type '" + type + "'");
+    reject("unknown-type", "unknown frame type '" + std::string(type) + "'");
   }
   return request;
 }
@@ -275,29 +448,34 @@ std::string welcome_reply(const std::string& scheduler_name,
   return reply.dump();
 }
 
-std::string decision_reply(std::uint64_t seq, core::Time now,
-                           const core::CycleDecision& decision) {
-  Json reply = Json::object();
-  reply.set("type", Json::string("decisions"));
-  reply.set("seq", Json::integer(static_cast<std::int64_t>(seq)));
-  reply.set("now", Json::integer(now));
-  reply.set("pass", Json::boolean(decision.pass_ran));
-  Json starts = Json::array();
+void write_decision_reply(std::uint64_t seq, core::Time now,
+                          const core::CycleDecision& decision,
+                          std::string& out) {
+  out.clear();
+  JsonWriter reply{out};
+  reply.begin_object()
+      .key("type").string("decisions")
+      .key("seq").integer(static_cast<std::int64_t>(seq))
+      .key("now").integer(now)
+      .key("pass").boolean(decision.pass_ran)
+      .key("starts").begin_array();
   for (const workload::JobId id : decision.starts)
-    starts.push_back(Json::integer(static_cast<std::int64_t>(id)));
-  reply.set("starts", std::move(starts));
+    reply.integer(static_cast<std::int64_t>(id));
+  reply.end_array();
   // Emitted only when an outage voided runs, so outage-free replies are
   // byte-identical to protocol v2's.
   if (!decision.killed.empty()) {
-    Json killed = Json::array();
+    reply.key("killed").begin_array();
     for (const workload::JobId id : decision.killed)
-      killed.push_back(Json::integer(static_cast<std::int64_t>(id)));
-    reply.set("killed", std::move(killed));
+      reply.integer(static_cast<std::int64_t>(id));
+    reply.end_array();
   }
-  reply.set("next_wakeup", decision.next_wakeup == sim::kNoTime
-                               ? Json::null()
-                               : Json::integer(decision.next_wakeup));
-  return reply.dump();
+  reply.key("next_wakeup");
+  if (decision.next_wakeup == sim::kNoTime)
+    reply.null();
+  else
+    reply.integer(decision.next_wakeup);
+  reply.end_object();
 }
 
 std::string stats_reply(const core::DecisionStats& stats, std::size_t queued,
@@ -352,57 +530,44 @@ core::CycleDecision parse_decision_reply(
     std::string_view line, std::uint64_t expect_seq,
     std::vector<workload::JobId>& start_storage,
     std::vector<workload::JobId>& kill_storage) {
-  Json frame;
-  try {
-    frame = parse_json(line);
-  } catch (const JsonError& error) {
-    reject("bad-json", error.what());
+  Fields frame{kReplyNames, line};
+  scan_frame(line, frame, "reply");
+  const std::string_view type = need_string(frame, "type");
+  if (type == "error") {
+    const std::string_view detail = need_string(frame, "detail");
+    reject("server-error", std::string(need_string(frame, "reason")) + ": " +
+                               std::string(detail));
   }
-  if (!frame.is_object()) reject("not-object", "reply must be a JSON object");
-  const std::string& type = need_string(frame, "type");
-  if (type == "error")
-    reject("server-error", need_string(frame, "reason") + ": " +
-                               need_string(frame, "detail"));
   if (type != "decisions")
-    reject("bad-value", "expected a 'decisions' reply, got '" + type + "'");
+    reject("bad-value",
+           "expected a 'decisions' reply, got '" + std::string(type) + "'");
   const std::int64_t seq = need_int(frame, "seq");
   if (seq < 0 || static_cast<std::uint64_t>(seq) != expect_seq)
     reject("bad-seq", "reply for seq " + std::to_string(seq) +
                           ", expected " + std::to_string(expect_seq));
   core::CycleDecision decision;
-  decision.pass_ran = [&frame] {
-    const Json& pass = need(frame, "pass");
-    if (!pass.is_bool()) reject("bad-type", "'pass' must be a boolean");
-    return pass.as_bool();
-  }();
-  const Json& starts = need(frame, "starts");
-  if (!starts.is_array()) reject("bad-type", "'starts' must be an array");
+  const Value& pass = need(frame, "pass");
+  if (pass.token != Token::kBool)
+    reject("bad-type", "'pass' must be a boolean");
+  decision.pass_ran = pass.flag;
+  const Value& starts = need(frame, "starts");
+  if (starts.token != Token::kArray)
+    reject("bad-type", "'starts' must be an array");
   start_storage.clear();
-  for (const Json& entry : starts.as_array()) {
-    if (!entry.is_int()) reject("bad-type", "start ids must be integers");
-    const std::int64_t id = entry.as_int();
-    if (id < 0 || id >= static_cast<std::int64_t>(workload::kInvalidJob))
-      reject("bad-value", "start id out of range");
-    start_storage.push_back(static_cast<workload::JobId>(id));
-  }
+  read_job_ids(line, starts, "start", start_storage);
   decision.starts = start_storage;
   kill_storage.clear();
-  if (const Json* killed = frame.find("killed")) {
-    if (!killed->is_array()) reject("bad-type", "'killed' must be an array");
-    for (const Json& entry : killed->as_array()) {
-      if (!entry.is_int()) reject("bad-type", "killed ids must be integers");
-      const std::int64_t id = entry.as_int();
-      if (id < 0 || id >= static_cast<std::int64_t>(workload::kInvalidJob))
-        reject("bad-value", "killed id out of range");
-      kill_storage.push_back(static_cast<workload::JobId>(id));
-    }
+  if (const Value& killed = frame["killed"]; killed.present) {
+    if (killed.token != Token::kArray)
+      reject("bad-type", "'killed' must be an array");
+    read_job_ids(line, killed, "killed", kill_storage);
   }
   decision.killed = kill_storage;
-  const Json& wake = need(frame, "next_wakeup");
-  if (wake.is_null()) {
+  const Value& wake = need(frame, "next_wakeup");
+  if (wake.token == Token::kNull) {
     decision.next_wakeup = sim::kNoTime;
-  } else if (wake.is_int() && wake.as_int() >= 0) {
-    decision.next_wakeup = wake.as_int();
+  } else if (is_int(wake) && wake.number.int_value >= 0) {
+    decision.next_wakeup = wake.number.int_value;
   } else {
     reject("bad-value", "'next_wakeup' must be null or a non-negative time");
   }

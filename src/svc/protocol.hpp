@@ -136,15 +136,20 @@ struct Request {
 };
 
 /// Parse one request line. Throws ProtocolError (with a stable reason
-/// slug) on any malformed, oversized, unknown or ill-typed frame.
+/// slug) on any malformed, oversized, unknown or ill-typed frame. The
+/// whole line must be well-formed JSON before any field is checked
+/// ("bad-json" comes first); a repeated key reads its first occurrence.
 [[nodiscard]] Request parse_request(std::string_view line);
 
 // Reply builders. Every reply is one compact JSON line (no trailing
 // newline); field order is fixed, so replies are byte-deterministic.
 [[nodiscard]] std::string welcome_reply(const std::string& scheduler_name,
                                         std::uint64_t resumed_seq);
-[[nodiscard]] std::string decision_reply(std::uint64_t seq, core::Time now,
-                                         const core::CycleDecision& decision);
+/// The `decisions` reply, written into `out` (replacing its contents,
+/// keeping its capacity).
+void write_decision_reply(std::uint64_t seq, core::Time now,
+                          const core::CycleDecision& decision,
+                          std::string& out);
 [[nodiscard]] std::string stats_reply(const core::DecisionStats& stats,
                                       std::size_t queued, std::size_t running);
 [[nodiscard]] std::string report_reply(const ProtocolReport& report);

@@ -18,11 +18,16 @@ namespace {
 /// session rejects it as oversized whatever the read boundaries were.
 constexpr std::size_t kFrameKeep = kMaxFrameBytes + 2;
 
-/// Write `reply` and its newline, riding out partial writes and EINTR.
-/// Returns false when the peer is gone.
-bool write_reply(int fd, const std::string& reply) {
+/// Append `bytes` to `partial`, keeping at most kFrameKeep bytes.
+void append_capped(std::string& partial, std::string_view bytes) {
+  partial.append(bytes.substr(0, kFrameKeep - partial.size()));
+}
+
+}  // namespace
+
+bool write_line(int fd, std::string_view line) {
   char newline = '\n';
-  iovec parts[2] = {{const_cast<char*>(reply.data()), reply.size()},
+  iovec parts[2] = {{const_cast<char*>(line.data()), line.size()},
                     {&newline, 1}};
   iovec* next = parts;
   int left = 2;
@@ -46,19 +51,12 @@ bool write_reply(int fd, const std::string& reply) {
   return true;
 }
 
-/// Append `bytes` to `partial`, keeping at most kFrameKeep bytes.
-void append_capped(std::string& partial, std::string_view bytes) {
-  partial.append(bytes.substr(0, kFrameKeep - partial.size()));
-}
-
-}  // namespace
-
 ServeResult serve_connection(int in_fd, int out_fd, Session& session) {
   ServeResult result;
   // Answer one frame; false once the connection should end.
   const auto serve = [&](std::string_view line) {
     ++result.lines;
-    if (!write_reply(out_fd, session.handle_line(line))) return false;
+    if (!write_line(out_fd, session.handle_line(line))) return false;
     result.clean_bye = session.closed();
     return !result.clean_bye;
   };

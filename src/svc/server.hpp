@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "svc/session.hpp"
 
@@ -30,5 +31,10 @@ struct ServeResult {
 /// `out_fd` may be the same descriptor (a socket) or a pipe pair.
 /// Frames after `bye` go unanswered; the descriptors are not closed.
 ServeResult serve_connection(int in_fd, int out_fd, Session& session);
+
+/// Write `line` and its newline with one writev(2), riding out partial
+/// writes and EINTR. Returns false when the peer is gone. Both ends of
+/// the wire use it: the loop for replies, FdChannel for requests.
+bool write_line(int fd, std::string_view line);
 
 }  // namespace bfsim::svc

@@ -177,7 +177,7 @@ std::string Session::apply_batch(const EventBatch& batch,
   // for -- it retransmits after resume and the replayed core accepts
   // it again. The reverse order could log a frame the core rejected.
   if (!replaying && log_) log_->record_batch(batch.seq, std::string(line));
-  last_reply_ = decision_reply(batch.seq, batch.now, decision);
+  write_decision_reply(batch.seq, batch.now, decision, last_reply_);
   return last_reply_;
 }
 

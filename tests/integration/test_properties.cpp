@@ -8,6 +8,8 @@
 #include "core/reference_reservation_depth.hpp"
 #include "core/simulation.hpp"
 #include "core/validator.hpp"
+#include "exp/scenario.hpp"
+#include "sim/rng.hpp"
 #include "test_support.hpp"
 
 namespace bfsim::core {
@@ -124,6 +126,43 @@ TEST_P(CrossSchedulerTest, ConservativePriorityEquivalenceWithExactEstimates) {
                                       SchedulerConfig{12, priority});
     EXPECT_EQ(test::start_times(baseline), test::start_times(other))
         << to_string(priority);
+  }
+}
+
+TEST(ConservativePriorityEquivalence, HoldsWithAContendedBurstBuffer) {
+  // Section 4.1 on the second axis: with exact estimates conservative
+  // backfilling still gives one schedule for FCFS, SJF and XFactor when
+  // a 1,024 GB buffer binds (CTC, bfbench's bb-contended demand model:
+  // narrow jobs stage 128-512 GB, wide jobs 0-64 GB). The served path
+  // pins the same relation (test_served_differential.cpp).
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    exp::Scenario scenario;
+    scenario.trace = exp::TraceKind::Ctc;
+    scenario.jobs = 600;
+    scenario.seed = seed;
+    Trace trace = exp::build_workload(scenario);
+    const int procs = scenario.procs();
+    const auto procs_only = run_simulation(
+        trace, SchedulerKind::Conservative,
+        SchedulerConfig{procs, PriorityPolicy::Fcfs});
+    sim::Rng rng{seed * 0x9e3779b97f4a7c15ULL + 11};
+    for (Job& job : trace)
+      job.bb = job.procs < procs / 4
+                   ? static_cast<int>(rng.uniform_int(128, 512))
+                   : static_cast<int>(rng.uniform_int(0, 64));
+    const auto fcfs = run_simulation(
+        trace, SchedulerKind::Conservative,
+        SchedulerConfig{procs, PriorityPolicy::Fcfs, 1024});
+    // The buffer binds: the schedule is not the procs-only one.
+    EXPECT_NE(test::start_times(fcfs), test::start_times(procs_only));
+    for (const auto priority : {PriorityPolicy::Sjf, PriorityPolicy::XFactor}) {
+      const auto other = run_simulation(
+          trace, SchedulerKind::Conservative,
+          SchedulerConfig{procs, priority, 1024});
+      EXPECT_EQ(test::start_times(fcfs), test::start_times(other))
+          << to_string(priority);
+    }
   }
 }
 

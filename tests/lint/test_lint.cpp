@@ -64,6 +64,16 @@ TEST(BfsimLint, TimeLocalsAreScopedToTheirBlock) {
   EXPECT_EQ(findings.size(), 2u) << dump(findings);
 }
 
+TEST(BfsimLint, PointerAndReferenceDeclaratorsAreOtherTyped) {
+  const auto findings = lint_fixture("pointer_decl.cpp");
+  // `end - from` on two `const char*`, a `std::size_t&& end` and a
+  // `Time* end` beside the header's `Time end` member are not Time
+  // arithmetic; the real Time local still is.
+  EXPECT_TRUE(has(findings, Check::kRawTimeArithmetic, 27))
+      << dump(findings);
+  EXPECT_EQ(findings.size(), 1u) << dump(findings);
+}
+
 TEST(BfsimLint, FlagsNondeterminismSources) {
   const auto findings = lint_fixture("bad_nondeterminism.cpp");
   EXPECT_TRUE(has(findings, Check::kNondeterminism, 12)) << dump(findings);

@@ -169,11 +169,14 @@ TEST(Protocol, ReplyBuildersAreByteStable) {
   decision.starts = ids;
   decision.next_wakeup = 500;
   decision.pass_ran = true;
-  EXPECT_EQ(decision_reply(3, 100, decision),
+  std::string reply = "stale";
+  write_decision_reply(3, 100, decision, reply);
+  EXPECT_EQ(reply,
             R"({"type":"decisions","seq":3,"now":100,"pass":true,)"
             R"("starts":[4,9],"next_wakeup":500})");
   decision.next_wakeup = sim::kNoTime;
-  EXPECT_EQ(decision_reply(3, 100, decision),
+  write_decision_reply(3, 100, decision, reply);
+  EXPECT_EQ(reply,
             R"({"type":"decisions","seq":3,"now":100,"pass":true,)"
             R"("starts":[4,9],"next_wakeup":null})");
   ProtocolReport report;
@@ -199,8 +202,10 @@ TEST(Protocol, DecisionReplyRoundTrips) {
   sent.killed = killed_ids;
   std::vector<workload::JobId> storage;
   std::vector<workload::JobId> kill_storage;
-  const core::CycleDecision got = parse_decision_reply(
-      decision_reply(9, 123, sent), 9, storage, kill_storage);
+  std::string line;
+  write_decision_reply(9, 123, sent, line);
+  const core::CycleDecision got =
+      parse_decision_reply(line, 9, storage, kill_storage);
   EXPECT_TRUE(got.pass_ran);
   EXPECT_EQ(got.next_wakeup, 777);
   ASSERT_EQ(got.starts.size(), 3u);
@@ -213,7 +218,8 @@ TEST(Protocol, DecisionReplyRejectsSeqMismatchAndErrors) {
   std::vector<workload::JobId> storage;
   std::vector<workload::JobId> kill_storage;
   core::CycleDecision decision;
-  const std::string line = decision_reply(4, 10, decision);
+  std::string line;
+  write_decision_reply(4, 10, decision, line);
   EXPECT_THROW((void)parse_decision_reply(line, 5, storage, kill_storage),
                ProtocolError);
   try {

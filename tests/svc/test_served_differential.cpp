@@ -165,6 +165,43 @@ TEST(ServedDifferential, BurstBufferDemandsCrossTheWire) {
   }
 }
 
+TEST(ServedDifferential, ConservativePriorityEquivalenceWithAContendedBuffer) {
+  // Section 4.1 through the daemon: conservative with exact estimates
+  // gives one schedule for FCFS, SJF and XFactor with a contended
+  // 1,024 GB buffer (CTC, bfbench's bb-contended demand model), and
+  // every served schedule is the in-process one. Every submit carries
+  // a `bb` field.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    exp::Scenario scenario;
+    scenario.trace = exp::TraceKind::Ctc;
+    scenario.jobs = 600;
+    scenario.seed = seed;
+    workload::Trace trace = exp::build_workload(scenario);
+    const int procs = scenario.procs();
+    sim::Rng rng{seed * 0x9e3779b97f4a7c15ULL + 11};
+    for (workload::Job& job : trace)
+      job.bb = job.procs < procs / 4
+                   ? static_cast<int>(rng.uniform_int(128, 512))
+                   : static_cast<int>(rng.uniform_int(0, 64));
+    const core::SchedulerConfig fcfs{procs, PriorityPolicy::Fcfs, 1024};
+    const SimulationResult local =
+        core::run_simulation(trace, SchedulerKind::Conservative, fcfs);
+    for (const PriorityPolicy priority :
+         {PriorityPolicy::Fcfs, PriorityPolicy::Sjf, PriorityPolicy::XFactor}) {
+      SCOPED_TRACE(to_string(priority));
+      HelloRequest hello;
+      hello.kind = SchedulerKind::Conservative;
+      hello.config = core::SchedulerConfig{procs, priority, 1024};
+      const SimulationResult served = run_served(trace, hello);
+      ASSERT_EQ(served.outcomes.size(), local.outcomes.size());
+      for (std::size_t i = 0; i < served.outcomes.size(); ++i)
+        ASSERT_EQ(served.outcomes[i].start, local.outcomes[i].start)
+            << "job " << i;
+    }
+  }
+}
+
 TEST(ServedDifferential, NonDefaultExtrasCrossTheWire) {
   // Every extras knob rides the hello frame; a daemon configured with
   // depth-8 reservations or a custom slack factor must behave as the

@@ -1,13 +1,19 @@
 // The transport: serve_connection's one-thread loop over real pipes,
-// with the server on its own thread and the test as the client. Lives
+// with the server on its own thread and the test as the client, and
+// the client's FdChannel over pipes the test fills ahead of it. Lives
 // in the svc concurrency binary so CI reruns it under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "sim/rng.hpp"
+#include "svc/client.hpp"
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -341,6 +347,102 @@ TEST(ServeConnection, BackpressureBoundsTheInboundQueue) {
   server.send(R"({"type":"bye"})");
   EXPECT_EQ(type_of(server.read_reply()), "bye");
   EXPECT_TRUE(server.finish().clean_bye);
+}
+
+/// Write all of `bytes` to `fd`.
+void write_all(int fd, const std::string& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t wrote = ::write(fd, bytes.data() + done, bytes.size() - done);
+    ASSERT_GT(wrote, 0);
+    done += static_cast<std::size_t>(wrote);
+  }
+}
+
+/// FdChannel over two pipes whose reply end the test fills before each
+/// round trip, so how the replies fall across reads is chosen exactly.
+class PipeChannel {
+ public:
+  PipeChannel() {
+    EXPECT_EQ(::pipe(requests_), 0);
+    EXPECT_EQ(::pipe(replies_), 0);
+    channel_.emplace(replies_[0], requests_[1]);
+  }
+  ~PipeChannel() {
+    for (const int fd : {requests_[0], requests_[1], replies_[0], replies_[1]})
+      if (fd >= 0) ::close(fd);
+  }
+  FdChannel& channel() { return *channel_; }
+  void reply(const std::string& bytes) { write_all(replies_[1], bytes); }
+  void close_replies() {
+    ::close(replies_[1]);
+    replies_[1] = -1;
+  }
+  /// Everything the channel has sent so far.
+  std::string sent() {
+    std::string out;
+    char chunk[4096];
+    ::close(requests_[1]);
+    requests_[1] = -1;
+    for (ssize_t got; (got = ::read(requests_[0], chunk, sizeof chunk)) > 0;)
+      out.append(chunk, static_cast<std::size_t>(got));
+    return out;
+  }
+
+ private:
+  int requests_[2] = {-1, -1};
+  int replies_[2] = {-1, -1};
+  std::optional<FdChannel> channel_;
+};
+
+TEST(FdChannel, RepliesSplitAcrossReadsAndSeveralInOneRead) {
+  PipeChannel pipes;
+  FdChannel& channel = pipes.channel();
+  // Two whole replies and the start of a third arrive in one read.
+  pipes.reply("one\ntwo\r\nthr");
+  EXPECT_EQ(channel.roundtrip("a"), "one");
+  EXPECT_EQ(channel.roundtrip("b"), "two");
+  // The third completes in a later read.
+  pipes.reply("ee\n");
+  EXPECT_EQ(channel.roundtrip("c"), "three");
+  // A reply longer than one read, then an empty one.
+  const std::string big(10000, 'x');
+  pipes.reply(big + "\n\n");
+  EXPECT_EQ(channel.roundtrip("d"), big);
+  EXPECT_EQ(channel.roundtrip("e"), "");
+  // EOF before a newline is a dead channel.
+  pipes.reply("partial");
+  pipes.close_replies();
+  EXPECT_THROW((void)channel.roundtrip("f"), ChannelError);
+  // Each request went out whole, with its newline, in order.
+  EXPECT_EQ(pipes.sent(), "a\nb\nc\nd\ne\nf\n");
+}
+
+TEST(FdChannel, ARandomStreamOfRepliesComesBackWhole) {
+  // Replies of 1 to 6,000 bytes, written in chunks of 1 to 3,000 bytes
+  // that end anywhere: inside a reply, on a newline, or several
+  // replies later. Every round trip returns exactly its reply.
+  PipeChannel pipes;
+  sim::Rng rng{17};
+  std::vector<std::string> replies;
+  std::string stream;
+  for (int i = 0; i < 400; ++i) {
+    replies.emplace_back(static_cast<std::size_t>(rng.uniform_int(1, 6000)),
+                         static_cast<char>('a' + i % 26));
+    stream += replies.back() + (i % 3 == 0 ? "\r\n" : "\n");
+  }
+  std::size_t written = 0;
+  std::size_t needed = 0;  // the stream up to the current reply's end
+  for (const std::string& reply : replies) {
+    needed = stream.find('\n', needed) + 1;
+    while (written < needed) {
+      const auto chunk = static_cast<std::size_t>(rng.uniform_int(1, 3000));
+      const std::size_t size = std::min(chunk, stream.size() - written);
+      pipes.reply(stream.substr(written, size));
+      written += size;
+    }
+    ASSERT_EQ(pipes.channel().roundtrip("r"), reply);
+  }
 }
 
 }  // namespace

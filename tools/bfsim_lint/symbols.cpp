@@ -68,6 +68,34 @@ std::vector<std::size_t> brace_closers(const std::vector<Token>& toks) {
   return closer;
 }
 
+/// True when `t` starts right where `prev` ends, on the same line.
+bool attached(const Token& prev, const Token& t) {
+  return t.line == prev.line &&
+         t.col == prev.col + static_cast<int>(prev.text.size());
+}
+
+/// The index of the name a declaration with the type word at `type`
+/// declares, past a pointer or reference declarator written against
+/// the type (`const char* const end`, `Json& value`, `T&& r`, the
+/// project's style). Spaced on both sides (`a * b`) the operator is
+/// arithmetic, and `type + 1` is returned. `pointer` reports a `*`.
+std::size_t declared_name(const std::vector<Token>& toks, std::size_t type,
+                          bool& pointer) {
+  pointer = false;
+  std::size_t k = type + 1;
+  while (k < toks.size() &&
+         (is_punct(toks[k], "*") || is_punct(toks[k], "&") ||
+          is_punct(toks[k], "&&")) &&
+         attached(toks[k - 1], toks[k])) {
+    pointer = pointer || toks[k].text == "*";
+    ++k;
+    while (k < toks.size() &&
+           (is_ident(toks[k], "const") || is_ident(toks[k], "volatile")))
+      ++k;
+  }
+  return k;
+}
+
 }  // namespace
 
 SymbolTable collect_symbols(const LexedFile& file) {
@@ -89,7 +117,11 @@ SymbolTable collect_symbols(const LexedFile& file) {
     if (tok.kind != TokenKind::kIdentifier) continue;
 
     // --- Time-typed declarations -----------------------------------
-    if (tok.text == "Time") {
+    // A pointer to Time is other-typed (below): arithmetic on it is
+    // pointer arithmetic.
+    bool pointer = false;
+    const std::size_t name_at = declared_name(toks, i, pointer);
+    if (tok.text == "Time" && !pointer) {
       // Member access spelled `.Time` / `->Time` is not a type use.
       if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->")))
         continue;
@@ -124,24 +156,27 @@ SymbolTable collect_symbols(const LexedFile& file) {
     }
 
     // --- other-typed declarations ----------------------------------
-    // `Type name` adjacency with a declaration-shaped follower. Type
-    // keywords (int, double, ...) count; statement keywords (return,
-    // case, ...) cannot start a declaration of a value. `Type name(`
-    // declares a function returning a non-Time type -- recorded so
-    // call-site verdicts can recognize a name as overload-ambiguous.
+    // `Type name` adjacency with a declaration-shaped follower, also
+    // through a pointer or reference declarator (`const char* end`,
+    // `T& r`). Type keywords (int, double, ...) count; statement
+    // keywords (return, case, ...) cannot start a declaration of a
+    // value. `Type name(` declares a function returning a non-Time
+    // type -- recorded so call-site verdicts can recognize a name as
+    // overload-ambiguous.
     {
       static const std::unordered_set<std::string> kTypeKeywords = {
           "int",   "long",  "unsigned", "short", "char",
           "bool",  "float", "double",   "signed"};
       const bool type_like =
           !is_keyword(tok.text) || kTypeKeywords.contains(tok.text);
-      if (type_like && i + 2 < toks.size() &&
-          toks[i + 1].kind == TokenKind::kIdentifier &&
-          !is_keyword(toks[i + 1].text) && toks[i + 1].text != "operator" &&
+      if (type_like && name_at + 1 < toks.size() &&
+          toks[name_at].kind == TokenKind::kIdentifier &&
+          !is_keyword(toks[name_at].text) &&
+          toks[name_at].text != "operator" &&
           (i == 0 || !is_punct(toks[i - 1], ".")) &&
           (i == 0 || !is_punct(toks[i - 1], "->"))) {
-        std::string name = toks[i + 1].text;
-        std::size_t k = i + 2;
+        std::string name = toks[name_at].text;
+        std::size_t k = name_at + 1;
         // Qualified definition: `std::string Cli::get(` declares `get`.
         while (k + 1 < toks.size() && is_punct(toks[k], "::") &&
                toks[k + 1].kind == TokenKind::kIdentifier) {
